@@ -1,7 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import reference
+from trackstitch import cbtr
 from trackstitch.cbtr import (
     UnionFind,
     build_links,
@@ -13,7 +17,7 @@ from trackstitch.cbtr import (
     surviving_targets,
 )
 from trackstitch.model import AisPoint, CbtrConfig, PairMode, TrackDataset
-from trackstitch.synth import generate_fleet
+from trackstitch.synth import SynthConfig, generate_fleet
 
 from conftest import small_mixed_config
 
@@ -90,8 +94,11 @@ def test_select_bpnp_matches_full_scan(seed):
 @pytest.mark.parametrize("seed", [21, 22, 23, 24, 25, 26, 27, 28])
 def test_build_links_matches_reference(seed):
     ds = _dataset(seed, n_vessels=4, duration_s=1200)
-    links = build_links(ds, CFG)
-    expected = reference.link_all(reference.pts_of(ds), ds.alpha, CFG)
+    _assert_links_match(build_links(ds, CFG),
+                        reference.link_all(reference.pts_of(ds), ds.alpha, CFG))
+
+
+def _assert_links_match(links, expected):
     for i, exp in enumerate(expected):
         if exp is None:
             assert links.targets[i] == -1
@@ -101,6 +108,81 @@ def test_build_links_matches_reference(seed):
             assert links.targets[i] == exp[0], f"point {i}"
             assert links.errors[i] == pytest.approx(exp[1], rel=1e-9)
             assert MODE_NAME[int(links.modes[i])] == exp[2]
+
+
+def _tied_fleet():
+    # times floored to 30 s: many reports share a second
+    ds = _dataset(61, n_vessels=6, duration_s=1800)
+    return TrackDataset.from_points(
+        [replace(ds.point(i), t=int(ds.t[i]) // 30 * 30) for i in range(len(ds))])
+
+
+def _has_mid_fleet_empty_window(ds):
+    return any(len(candidate_window(ds, i, CFG)) == 0
+               for i in range(len(ds)) if ds.t[i] + CFG.window_s < ds.t[-1])
+
+
+def _gapped_fleet():
+    return generate_fleet(SynthConfig(n_vessels=2, duration_s=10800,
+                                      gaps_per_vessel=4, seed=62))
+
+
+def _steady_fleet():
+    return generate_fleet(SynthConfig(
+        n_vessels=4, archetypes=("steady-drifting", "steady-docked") * 2,
+        duration_s=7200, seed=63))
+
+
+def _moving_fleet():
+    return generate_fleet(SynthConfig(n_vessels=3, archetypes=("transit",) * 3,
+                                      duration_s=1800, seed=64))
+
+
+def _linked_modes(links):
+    return set(links.modes[links.targets >= 0].tolist())
+
+
+# each fleet with the trait that makes it a block-boundary case
+BLOCK_FLEETS = {
+    "tied": (_tied_fleet, lambda ds, links: bool(np.any(np.diff(ds.t) == 0))),
+    "gapped": (_gapped_fleet, lambda ds, links: _has_mid_fleet_empty_window(ds)),
+    "all-steady": (_steady_fleet, lambda ds, links: _linked_modes(links) == {2}),
+    "all-moving": (_moving_fleet, lambda ds, links: _linked_modes(links) == {1}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BLOCK_FLEETS))
+def block_fleet(request):
+    make, trait = BLOCK_FLEETS[request.param]
+    ds = make()
+    links = build_links(ds, CFG)
+    assert trait(ds, links), f"{request.param} fleet lost its defining trait"
+    return ds, links, reference.link_all(reference.pts_of(ds), ds.alpha, CFG)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("cells", [1, 7, 97])
+def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
+    ds, default, expected = block_fleet
+    monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+    links = build_links(ds, CFG, threads=threads)
+    assert np.array_equal(links.targets, default.targets)
+    assert np.array_equal(links.modes, default.modes)
+    assert np.array_equal(links.errors, default.errors, equal_nan=True)
+    _assert_links_match(links, expected)
+
+
+def test_masked_duplicates_raise_no_warnings():
+    # every report twice at the same time and place: cells pairing a report
+    # with its twin are masked but evaluate to 0/0
+    ds = _dataset(71, n_vessels=3, duration_s=900)
+    twice = TrackDataset.from_points([ds.point(i) for i in range(len(ds)) for _ in (0, 1)])
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        links = build_links(twice, CFG)
+    assert np.geterr() == before
+    _assert_links_match(links, reference.link_all(reference.pts_of(twice), twice.alpha, CFG))
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
