@@ -42,7 +42,7 @@ def main() -> None:
 
     start = time.perf_counter()
     targets = npc_grouping_targets(ds)
-    assignment = npc_cluster(ds)
+    assignment = npc_cluster(targets)
     npc_s = time.perf_counter() - start
     jumps, merges = jumps_merges(assignment, ds.vids)
     print("\n== next-point connection ==")

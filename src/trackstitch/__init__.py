@@ -8,7 +8,7 @@ from .model import (
     PairMode,
     TrackDataset,
 )
-from .ingest import IngestError, compute_alpha, parse_ais_csv, write_ais_csv
+from .ingest import IngestError, parse_ais_csv, write_ais_csv
 from .cbtr import AbnormalReport, CbtrResult, run_cbtr, select_bpnp
 from .npc import NpcConfig, npc_classify, npc_cluster
 from .metrics import EvalReport, correct_neighbor_rate, estimate_vessel_count, jumps_merges
@@ -17,7 +17,7 @@ from .export import export_geojson, export_label_timeline
 
 __all__ = [
     "AisPoint", "TrackDataset", "CbtrConfig", "LinkSet", "ClusterAssignment",
-    "PairMode", "IngestError", "parse_ais_csv", "write_ais_csv", "compute_alpha",
+    "PairMode", "IngestError", "parse_ais_csv", "write_ais_csv",
     "AbnormalReport", "CbtrResult", "run_cbtr", "select_bpnp",
     "NpcConfig", "npc_classify", "npc_cluster",
     "EvalReport", "correct_neighbor_rate", "jumps_merges", "estimate_vessel_count",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,50 +43,12 @@ class AbnormalReport:
     abnormal: frozenset[int]
 
 
-class CbtrResult(tuple):
+class CbtrResult(NamedTuple):
     """(assignment, links, report), with named access."""
 
-    __slots__ = ()
-
-    def __new__(cls, assignment: ClusterAssignment, links: LinkSet, report: AbnormalReport):
-        return super().__new__(cls, (assignment, links, report))
-
-    @property
-    def assignment(self) -> ClusterAssignment:
-        return self[0]
-
-    @property
-    def links(self) -> LinkSet:
-        return self[1]
-
-    @property
-    def report(self) -> AbnormalReport:
-        return self[2]
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    assignment: ClusterAssignment
+    links: LinkSet
+    report: AbnormalReport
 
 
 # cells scored per numpy pass; a block takes as many consecutive reports as
@@ -382,40 +345,46 @@ def surviving_targets(links: LinkSet, report: AbnormalReport) -> np.ndarray:
     return targets
 
 
-def assemble_clusters(ds: TrackDataset, links: LinkSet,
-                      report: AbnormalReport) -> ClusterAssignment:
-    """Connected components of the surviving links, labeled 0..k-1.
-
-    Component ids follow each component's earliest report, so labeling does
-    not depend on traversal order.
-    """
-    n = len(ds)
-    targets = surviving_targets(links, report)
-    uf = UnionFind(n)
-    for i in range(n):
-        j = int(targets[i])
-        if j >= 0:
-            uf.union(i, j)
-    cluster_of = components_by_first_point(uf, n)
+def assemble_clusters(links: LinkSet, report: AbnormalReport) -> ClusterAssignment:
+    """Connected components of the surviving links, labeled by components_of."""
+    cluster_of = components_of(surviving_targets(links, report))
     severed = frozenset(i for i in report.abnormal if int(links.targets[i]) >= 0)
     return ClusterAssignment(cluster_of=cluster_of,
                              endpoints=severed | report.no_bpnp,
                              abnormal=severed)
 
 
-def components_by_first_point(uf: UnionFind, n: int) -> np.ndarray:
-    """Component label per element, numbered by smallest member index."""
-    cluster_of = np.empty(n, dtype=np.int64)
-    next_id = 0
-    root_to_id: dict[int, int] = {}
+def components_of(targets: np.ndarray) -> np.ndarray:
+    """Component label per report of the links i -> targets[i] (-1: no link).
+
+    Labels run 0..k-1 in the order of each component's earliest report, so
+    they do not depend on the order the links are joined in.
+    """
+    n = len(targets)
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(i: int) -> int:
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
     for i in range(n):
-        root = uf.find(i)
-        cid = root_to_id.get(root)
-        if cid is None:
-            cid = next_id
-            root_to_id[root] = cid
-            next_id += 1
-        cluster_of[i] = cid
+        j = int(targets[i])
+        if j >= 0:
+            ra, rb = find(i), find(j)
+            if ra != rb:
+                if size[ra] < size[rb]:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                size[ra] += size[rb]
+    cluster_of = np.empty(n, dtype=np.int64)
+    label_of_root: dict[int, int] = {}
+    for i in range(n):
+        cluster_of[i] = label_of_root.setdefault(find(i), len(label_of_root))
     return cluster_of
 
 
@@ -425,5 +394,5 @@ def run_cbtr(ds: TrackDataset, cfg: CbtrConfig | None = None,
     cfg = cfg or CbtrConfig()
     links = build_links(ds, cfg, threads=threads)
     report = detect_abnormal(ds, links, cfg)
-    assignment = assemble_clusters(ds, links, report)
+    assignment = assemble_clusters(links, report)
     return CbtrResult(assignment, links, report)

@@ -192,7 +192,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         targets = surviving_targets(result.links, result.report)
     else:
         targets = npc_grouping_targets(ds, cfg)
-        assignment = npc_cluster(ds, cfg)
+        assignment = npc_cluster(targets)
     runtime = time.perf_counter() - start
 
     report = None

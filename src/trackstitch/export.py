@@ -40,6 +40,9 @@ _SVG_STYLE = (
     "  <style>text { font: 10px sans-serif; fill: #444; }</style>\n"
 )
 
+# label characters that XML text content cannot hold as they are
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 def export_label_timeline(ds: TrackDataset, assignment: ClusterAssignment,
                           truth: Sequence[str] | None = None) -> str:
@@ -99,14 +102,14 @@ def export_label_timeline(ds: TrackDataset, assignment: ClusterAssignment,
     y = 30
     for label, t0, t1 in truth_rows:
         cy = y + row_h / 2
-        lines.append(f'  <text x="8" y="{cy + 3:.2f}">{label}</text>')
+        lines.append(f'  <text x="8" y="{cy + 3:.2f}">{label.translate(_XML_ESCAPES)}</text>')
         lines.append(f'  <line x1="{x(t0):.2f}" y1="{cy:.2f}" x2="{x(t1):.2f}" '
                      f'y2="{cy:.2f}" stroke="#1f77b4" stroke-width="4"/>')
         y += row_h
     y += gap
     for label, t0, t1 in cluster_rows:
         cy = y + row_h / 2
-        lines.append(f'  <text x="8" y="{cy + 3:.2f}">{label}</text>')
+        lines.append(f'  <text x="8" y="{cy + 3:.2f}">{label.translate(_XML_ESCAPES)}</text>')
         lines.append(f'  <line x1="{x(t0):.2f}" y1="{cy:.2f}" x2="{x(t1):.2f}" '
                      f'y2="{cy:.2f}" stroke="#d62728" stroke-width="4"/>')
         y += row_h

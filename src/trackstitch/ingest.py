@@ -13,9 +13,9 @@ import csv
 import io
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Sequence, TextIO, Union
+from typing import BinaryIO, TextIO, Union
 
-from .model import AisPoint, TrackDataset, latitude_scale
+from .model import AisPoint, TrackDataset
 
 REQUIRED_COLUMNS = ("timestamp", "lat", "lon", "sog", "cog")
 
@@ -113,11 +113,6 @@ def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDatase
     else:
         epoch = str(t0)
     return TrackDataset.from_points(points, epoch=epoch)
-
-
-def compute_alpha(points: Sequence[AisPoint]) -> float:
-    """Latitude scale factor for a point collection; order-independent."""
-    return latitude_scale(p.lat for p in points)
 
 
 def write_ais_csv(ds: TrackDataset, dest: Union[str, Path, TextIO]) -> None:

@@ -1,4 +1,4 @@
-"""Constant-velocity prediction and the pairwise screening errors.
+"""Constant-velocity prediction, space-time directions and ground distance.
 
 Courses are degrees clockwise from true north, so the northward component of
 motion goes with cos(cog) and the eastward component with sin(cog).  Degrees
@@ -11,25 +11,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import (
-    KNOT_MPS,
-    M_PER_DEG_LAT,
-    M_PER_DEG_LON_EQ,
-    AisPoint,
-    CbtrConfig,
-    PairMode,
-)
+from .model import KNOT_MPS, M_PER_DEG_LAT, M_PER_DEG_LON_EQ, AisPoint
 
 # degrees of latitude covered per knot-second
 DEG_LAT_PER_KNOT_S = KNOT_MPS / M_PER_DEG_LAT
-
-MAX_RECKON_S = 86400  # sanity bound; a day of extrapolation is already meaningless
-
-
-class PredictedPosition(NamedTuple):
-    lat: float
-    lon: float
-    at_t: float
 
 
 class SpaceTimeVector(NamedTuple):
@@ -40,18 +25,6 @@ class SpaceTimeVector(NamedTuple):
     dlon: float
 
 
-class MovingError(NamedTuple):
-    forward: float
-    backward: float
-    combined: float
-    cos_angle: float
-
-
-class SteadyError(NamedTuple):
-    value: float
-    cos_angle: float
-
-
 def displace(lat: float, lon: float, sog: float, cog: float, dt: float) -> tuple[float, float]:
     """Advance a position by dt seconds of constant speed and course."""
     course = math.radians(cog)
@@ -59,20 +32,6 @@ def displace(lat: float, lon: float, sog: float, cog: float, dt: float) -> tuple
     lon_rate = KNOT_MPS / (M_PER_DEG_LON_EQ * math.cos(math.radians(lat)))
     new_lon = lon + sog * math.sin(course) * lon_rate * dt
     return new_lat, new_lon
-
-
-def dead_reckon(p: AisPoint, dt: float) -> PredictedPosition:
-    """Where p would be dt seconds later (earlier for negative dt)."""
-    if abs(dt) > MAX_RECKON_S:
-        raise ValueError(f"refusing to extrapolate {dt} s")
-    lat, lon = displace(p.lat, p.lon, p.sog, p.cog, dt)
-    return PredictedPosition(lat, lon, p.t + dt)
-
-
-def pair_mode(a: AisPoint, b: AisPoint, cfg: CbtrConfig) -> PairMode:
-    if a.sog + b.sog > cfg.moving_speed_sum:
-        return PairMode.MOVING
-    return PairMode.STEADY
 
 
 def space_time_vector(dt: float, dlat: float, dlon: float, alpha: float,
@@ -87,52 +46,6 @@ def cosine(u: SpaceTimeVector, v: SpaceTimeVector) -> float:
         raise ValueError("cosine of a zero-length vector is undefined")
     dot = u.tau * v.tau + u.dlat * v.dlat + u.dlon * v.dlon
     return dot / (nu * nv)
-
-
-def moving_error(xi: AisPoint, xj: AisPoint, alpha: float, cfg: CbtrConfig) -> MovingError:
-    """Two-sided extrapolation error between a report and a later one.
-
-    Forward: advance xi to xj's time and compare with xj.  Backward: rewind
-    xj to xi's time and compare with xi.  The combined value averages both,
-    so a link must look right from either end.  The cosine compares the
-    direction xi claims to be moving with the direction xj actually lies,
-    both taken in (time, scaled lat, lon) space.
-    """
-    dt = xj.t - xi.t
-    if dt <= 0:
-        raise ValueError("xj must be strictly later than xi")
-    fwd_lat, fwd_lon = displace(xi.lat, xi.lon, xi.sog, xi.cog, dt)
-    tm = cfg.time_weight_moving * dt
-    fl = alpha * (fwd_lat - xj.lat)
-    fo = fwd_lon - xj.lon
-    forward = tm * tm + fl * fl + fo * fo
-    bwd_lat, bwd_lon = displace(xj.lat, xj.lon, xj.sog, xj.cog, -dt)
-    bl = alpha * (bwd_lat - xi.lat)
-    bo = bwd_lon - xi.lon
-    backward = tm * tm + bl * bl + bo * bo
-    combined = 0.5 * (forward + backward)
-    u = space_time_vector(dt, fwd_lat - xi.lat, fwd_lon - xi.lon, alpha,
-                          cfg.angle_time_weight)
-    v = space_time_vector(dt, xj.lat - xi.lat, xj.lon - xi.lon, alpha,
-                          cfg.angle_time_weight)
-    return MovingError(forward, backward, combined, cosine(u, v))
-
-
-def steady_error(xi: AisPoint, xj: AisPoint, alpha: float, cfg: CbtrConfig) -> SteadyError:
-    """Observed-position error for slow pairs, no extrapolation involved.
-
-    The cosine measures how close the pair's space-time displacement lies to
-    the pure time axis; near-stationary vessels should barely move in space.
-    """
-    dt = xj.t - xi.t
-    if dt <= 0:
-        raise ValueError("xj must be strictly later than xi")
-    dlat = xj.lat - xi.lat
-    dlon = xj.lon - xi.lon
-    ts = cfg.time_weight_steady * dt
-    value = ts * ts + (alpha * alpha) * (dlat * dlat) + dlon * dlon
-    v = space_time_vector(dt, dlat, dlon, alpha, cfg.angle_time_weight)
-    return SteadyError(value, cosine(SpaceTimeVector(1.0, 0.0, 0.0), v))
 
 
 def turning_cos(a: AisPoint, b: AisPoint, c: AisPoint, alpha: float,

@@ -123,10 +123,6 @@ class TrackDataset:
         return AisPoint(int(self.t[i]), float(self.lat[i]), float(self.lon[i]),
                         float(self.sog[i]), float(self.cog[i]), vid)
 
-    @property
-    def points(self) -> tuple[AisPoint, ...]:
-        return tuple(self.point(i) for i in range(len(self)))
-
     def has_vids(self) -> bool:
         return self.vids is not None
 
@@ -188,17 +184,6 @@ class LinkSet:
 
     def __len__(self) -> int:
         return int(self.targets.shape[0])
-
-    def target_of(self, i: int) -> int | None:
-        j = int(self.targets[i])
-        return j if j >= 0 else None
-
-    def link_of(self, i: int) -> tuple[int, float, PairMode] | None:
-        j = int(self.targets[i])
-        if j < 0:
-            return None
-        mode = PairMode.MOVING if int(self.modes[i]) == 1 else PairMode.STEADY
-        return j, float(self.errors[i]), mode
 
     def linked_indices(self) -> np.ndarray:
         return np.nonzero(self.targets >= 0)[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cbtr import UnionFind, components_by_first_point
+from .cbtr import components_of
 from .kinematics import displace, ground_distance_coords_m
 from .model import ClusterAssignment, TrackDataset
 
@@ -65,8 +65,7 @@ def _mean_course_deg(a: float, b: float) -> float:
     return math.degrees(math.atan2(y, x)) % 360.0
 
 
-def npc_classify(train: TrackDataset, test: TrackDataset,
-                 cfg: NpcConfig | None = None) -> tuple[str, ...]:
+def npc_classify(train: TrackDataset, test: TrackDataset) -> tuple[str, ...]:
     """Label each test report with the vessel whose track best reaches it.
 
     For every label, take the spatially closest of its last few reports at
@@ -74,7 +73,6 @@ def npc_classify(train: TrackDataset, test: TrackDataset,
     label by how near the projection lands.  The nearest projection wins;
     ties go to the first label in sorted order.
     """
-    del cfg  # reserved for future weighting; classification is distance-based
     if not train.has_vids():
         raise ValueError("training data must carry vids")
     labels = sorted(set(train.vids))
@@ -164,13 +162,8 @@ def npc_grouping_targets(ds: TrackDataset, cfg: NpcConfig | None = None) -> np.n
     return targets
 
 
-def npc_cluster(ds: TrackDataset, cfg: NpcConfig | None = None) -> ClusterAssignment:
-    """Cluster reports by mutual grouping, labels ordered by earliest member."""
-    targets = npc_grouping_targets(ds, cfg)
-    n = len(ds)
-    uf = UnionFind(n)
-    for i in range(n):
-        uf.union(i, int(targets[i]))
-    cluster_of = components_by_first_point(uf, n)
-    return ClusterAssignment(cluster_of=cluster_of,
+def npc_cluster(targets: np.ndarray) -> ClusterAssignment:
+    """Cluster reports by their grouping targets (from npc_grouping_targets),
+    labels ordered by earliest member."""
+    return ClusterAssignment(cluster_of=components_of(targets),
                              endpoints=frozenset(), abnormal=frozenset())

@@ -102,7 +102,8 @@ def drifter_runs():
 
 @pytest.fixture(scope="module")
 def npc_run(s1):
-    return npc_grouping_targets(s1), npc_cluster(s1)
+    targets = npc_grouping_targets(s1)
+    return targets, npc_cluster(targets)
 
 
 def test_01_link_choice_equals_brute_force():

@@ -7,10 +7,9 @@ import pytest
 import reference
 from trackstitch import cbtr
 from trackstitch.cbtr import (
-    UnionFind,
     build_links,
     candidate_window,
-    components_by_first_point,
+    components_of,
     detect_abnormal,
     run_cbtr,
     select_bpnp,
@@ -278,15 +277,9 @@ def test_union_find_components_match_search():
     for _ in range(20):
         n = int(rng.integers(2, 40))
         targets = [int(rng.integers(-1, n)) for _ in range(n)]
-        uf = UnionFind(n)
-        ref_links = []
-        for i, j in enumerate(targets):
-            if j >= 0 and j != i:
-                uf.union(i, j)
-                ref_links.append((j, 0.0, "moving"))
-            else:
-                ref_links.append(None)
-        got = components_by_first_point(uf, n)
+        ref_links = [(j, 0.0, "moving") if j >= 0 and j != i else None
+                     for i, j in enumerate(targets)]
+        got = components_of(np.array(targets, dtype=np.int64))
         expected = reference.partition(list(range(n)), ref_links, set())
         assert list(got) == expected
 
@@ -302,7 +295,8 @@ def test_input_order_does_not_matter():
     ds = _dataset(51, n_vessels=3, duration_s=900)
     seen = set()
     unique = []
-    for p in ds.points:
+    for i in range(len(ds)):
+        p = ds.point(i)
         if p.t not in seen:  # keep distinct times so sorting is unambiguous
             seen.add(p.t)
             unique.append(p)

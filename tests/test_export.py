@@ -1,4 +1,5 @@
 import json
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -81,3 +82,15 @@ def test_timeline_truth_override_must_align():
     ds, assignment = _toy()
     with pytest.raises(ValueError):
         export_label_timeline(ds, assignment, truth=["a"])
+
+
+def test_timeline_escapes_markup_in_labels():
+    pts = [AisPoint(0, 37.0, -76.0, 5.0, 90.0, vid="A&<B>"),
+           AisPoint(60, 37.0, -75.99, 5.0, 90.0, vid="A&<B>")]
+    ds = TrackDataset.from_points(pts)
+    assignment = ClusterAssignment(cluster_of=np.array([0, 0]),
+                                   endpoints=frozenset(), abnormal=frozenset())
+    doc = minidom.parseString(export_label_timeline(ds, assignment))
+    texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+    assert "A&<B>" in texts
+    assert "c0" in texts

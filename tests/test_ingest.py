@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from trackstitch.ingest import IngestError, compute_alpha, parse_ais_csv, write_ais_csv
-from trackstitch.model import AisPoint, TrackDataset, latitude_scale
+from trackstitch.ingest import IngestError, parse_ais_csv, write_ais_csv
+from trackstitch.model import AisPoint, TrackDataset
 
 LABELED = """vid,timestamp,lat,lon,sog,cog
 V1,100,37.0,-76.2,5.0,10.0
@@ -75,8 +75,3 @@ def test_round_trip_exact(tmp_path):
     for name in ("t", "lat", "lon", "sog", "cog"):
         assert np.array_equal(getattr(ds, name), getattr(again, name))
     assert again.vids == ds.vids
-
-
-def test_compute_alpha_matches_scale():
-    points = [AisPoint(0, 36.5, -76.0, 0.0, 0.0), AisPoint(1, 37.5, -76.0, 0.0, 0.0)]
-    assert compute_alpha(points) == latitude_scale([36.5, 37.5])

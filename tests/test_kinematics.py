@@ -1,23 +1,20 @@
-import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
+from trackstitch.cbtr import select_bpnp
 from trackstitch.kinematics import (
-    MAX_RECKON_S,
     SpaceTimeVector,
     cosine,
-    dead_reckon,
     displace,
     ground_distance_coords_m,
     ground_distance_m,
-    moving_error,
-    pair_mode,
     space_time_vector,
-    steady_error,
     turning_cos,
 )
-from trackstitch.model import AisPoint, CbtrConfig, PairMode
+from trackstitch.model import AisPoint, CbtrConfig, PairMode, TrackDataset
 
 CFG = CbtrConfig()
 
@@ -47,21 +44,6 @@ def test_displace_short_hops_reverse(lat, lon, sog, cog, dt):
     assert back_lon == pytest.approx(lon, abs=1e-9)
 
 
-def test_dead_reckon_carries_time():
-    p = AisPoint(50, 37.0, -76.0, 4.0, 45.0)
-    pred = dead_reckon(p, 30.0)
-    assert pred.at_t == 80.0
-    assert (pred.lat, pred.lon) == displace(37.0, -76.0, 4.0, 45.0, 30.0)
-    with pytest.raises(ValueError):
-        dead_reckon(p, MAX_RECKON_S + 1)
-
-
-def test_pair_mode_boundary():
-    a = AisPoint(0, 37.0, -76.0, 1.5, 0.0)
-    assert pair_mode(a, AisPoint(1, 37.0, -76.0, 1.5, 0.0), CFG) is PairMode.STEADY
-    assert pair_mode(a, AisPoint(1, 37.0, -76.0, 1.51, 0.0), CFG) is PairMode.MOVING
-
-
 def test_space_time_vector_fields():
     v = space_time_vector(10.0, 0.5, -0.25, 1.2, 1e-5)
     assert v == SpaceTimeVector(1e-4, 0.6, -0.25)
@@ -70,50 +52,6 @@ def test_space_time_vector_fields():
 def test_cosine_rejects_zero_vector():
     with pytest.raises(ValueError):
         cosine(SpaceTimeVector(0.0, 0.0, 0.0), SpaceTimeVector(1.0, 0.0, 0.0))
-
-
-def test_moving_error_perfect_prediction():
-    xi = AisPoint(0, 37.0, -76.0, 10.0, 0.0)
-    lat, lon = displace(37.0, -76.0, 10.0, 0.0, 100)
-    xj = AisPoint(100, lat, lon, 10.0, 0.0)
-    err = moving_error(xi, xj, 1.2490221536572539, CFG)
-    tm = CFG.time_weight_moving * 100
-    assert err.forward == tm * tm
-    # the rewind crosses a latitude change, so only nearly symmetric
-    assert err.backward == pytest.approx(err.forward, rel=1e-9)
-    assert err.combined == 0.5 * (err.forward + err.backward)
-    assert err.cos_angle == pytest.approx(1.0, abs=1e-12)
-
-
-def test_moving_error_requires_forward_time():
-    xi = AisPoint(100, 37.0, -76.0, 10.0, 0.0)
-    xj = AisPoint(100, 37.01, -76.0, 10.0, 0.0)
-    with pytest.raises(ValueError):
-        moving_error(xi, xj, 1.0, CFG)
-
-
-def test_moving_error_penalizes_behind():
-    """A candidate opposite the reported course scores a negative cosine."""
-    xi = AisPoint(0, 37.0, -76.0, 10.0, 0.0)
-    xj = AisPoint(100, 36.9954, -76.0, 10.0, 0.0)  # south of xi, course north
-    err = moving_error(xi, xj, 1.2490221536572539, CFG)
-    assert err.cos_angle < 0.0
-
-
-def test_steady_error_colocated():
-    xi = AisPoint(0, 37.0, -76.0, 0.5, 0.0)
-    xj = AisPoint(500, 37.0, -76.0, 0.5, 0.0)
-    err = steady_error(xi, xj, 1.2490221536572539, CFG)
-    assert err.value == pytest.approx(1e-12, rel=1e-12)
-    assert err.cos_angle == 1.0
-
-
-def test_steady_error_displaced():
-    xi = AisPoint(0, 37.0, -76.0, 0.5, 0.0)
-    xj = AisPoint(100, 37.0, -76.0 + 2e-3, 0.5, 0.0)
-    err = steady_error(xi, xj, 1.0, CFG)
-    assert err.cos_angle == pytest.approx(0.447213595499958, abs=1e-9)
-    assert err.value == pytest.approx((2e-7) ** 2 + (2e-3) ** 2, rel=1e-9)
 
 
 def test_turning_cos_straight_and_reverse():
@@ -139,3 +77,81 @@ def test_ground_distance_point_wrapper():
     a = AisPoint(0, 37.0, -76.0, 0.0, 0.0)
     b = AisPoint(1, 37.001, -76.0, 0.0, 0.0)
     assert ground_distance_m(a, b) == ground_distance_coords_m(37.0, -76.0, 37.001, -76.0)
+
+
+# The pair screening has one implementation, the link kernel.  These tests
+# score two-report datasets through select_bpnp, its one-row call, and
+# check each result against the scalar oracle.
+
+def _link(xi, xj, cfg=CFG):
+    """select_bpnp's link from xi to xj, checked against reference.pair_score."""
+    ds = TrackDataset.from_points([xi, xj])
+    got = select_bpnp(ds, 0, cfg)
+    pts = reference.pts_of(ds)
+    expected = reference.pair_score(pts[0], pts[1], ds.alpha, cfg)
+    if expected is None:
+        assert got is None
+        return None
+    j, error, mode = got
+    assert j == 1
+    assert mode.value == expected[1]
+    assert error == pytest.approx(expected[0], rel=1e-12)
+    return error, mode
+
+
+def test_pair_mode_boundary():
+    a = AisPoint(0, 37.0, -76.0, 1.5, 0.0)
+    assert _link(a, AisPoint(1, 37.0, -76.0, 1.5, 0.0))[1] is PairMode.STEADY
+    assert _link(a, AisPoint(1, 37.0, -76.0, 1.51, 0.0))[1] is PairMode.MOVING
+
+
+def test_moving_error_perfect_prediction():
+    xi = AisPoint(0, 37.0, -76.0, 10.0, 0.0)
+    lat, lon = displace(37.0, -76.0, 10.0, 0.0, 100)
+    xj = AisPoint(100, lat, lon, 10.0, 0.0)
+    error, mode = _link(xi, xj)
+    tm = CFG.time_weight_moving * 100
+    # the forward part is exactly tm^2; the rewind crosses a latitude
+    # change, so the backward part and the score are only nearly tm^2
+    assert mode is PairMode.MOVING
+    assert error == pytest.approx(tm * tm, rel=1e-9)
+    # the heading agrees with the pair's direction: the link survives a
+    # gate that only a cosine of about 1 passes
+    assert _link(xi, xj, replace(CFG, cos_moving_min=1.0 - 1e-9)) is not None
+
+
+def test_moving_error_requires_forward_time():
+    xi = AisPoint(100, 37.0, -76.0, 10.0, 0.0)
+    xj = AisPoint(100, 37.01, -76.0, 10.0, 0.0)
+    ds = TrackDataset.from_points([xi, xj])
+    assert select_bpnp(ds, 0, CFG) is None
+    assert select_bpnp(ds, 1, CFG) is None
+
+
+def test_moving_error_penalizes_behind():
+    """A candidate opposite the reported course scores a negative cosine."""
+    xi = AisPoint(0, 37.0, -76.0, 10.0, 0.0)
+    xj = AisPoint(100, 36.9954, -76.0, 10.0, 0.0)  # south of xi, course north
+    assert _link(xi, xj, replace(CFG, cos_moving_min=-1.0)) is not None
+    assert _link(xi, xj, replace(CFG, cos_moving_min=0.0)) is None
+
+
+def test_steady_error_colocated():
+    xi = AisPoint(0, 37.0, -76.0, 0.5, 0.0)
+    xj = AisPoint(500, 37.0, -76.0, 0.5, 0.0)
+    error, mode = _link(xi, xj)
+    assert mode is PairMode.STEADY
+    assert error == pytest.approx((CFG.time_weight_steady * 500) ** 2, rel=1e-12)
+    # the pair lies on the time axis: the link survives a gate of exactly 1
+    assert _link(xi, xj, replace(CFG, cos_steady_min=1.0)) is not None
+
+
+def test_steady_error_displaced():
+    xi = AisPoint(0, 37.0, -76.0, 0.5, 0.0)
+    xj = AisPoint(100, 37.0, -76.0 + 2e-3, 0.5, 0.0)
+    # the cosine to the time axis is 1/sqrt(5) = 0.4472..., below the default gate
+    assert _link(xi, xj) is None
+    assert _link(xi, xj, replace(CFG, cos_steady_min=0.448)) is None
+    error, mode = _link(xi, xj, replace(CFG, cos_steady_min=0.447))
+    assert mode is PairMode.STEADY
+    assert error == pytest.approx((2e-7) ** 2 + (2e-3) ** 2, rel=1e-9)

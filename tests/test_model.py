@@ -9,7 +9,6 @@ from trackstitch.model import (
     CbtrConfig,
     ClusterAssignment,
     LinkSet,
-    PairMode,
     TrackDataset,
     latitude_scale,
 )
@@ -101,7 +100,7 @@ def test_dataset_rejects_empty():
 def test_dataset_point_round_trip():
     points = _points()
     ds = TrackDataset.from_points(points)
-    assert ds.points == (points[1], points[0], points[2])
+    assert tuple(ds.point(i) for i in range(len(ds))) == (points[1], points[0], points[2])
 
 
 def test_cbtr_config_validation():
@@ -120,10 +119,6 @@ def test_link_set_accessors():
     links = LinkSet(targets=np.array([1, -1], dtype=np.int64),
                     errors=np.array([0.5, np.nan]),
                     modes=np.array([1, 0], dtype=np.int8))
-    assert links.target_of(0) == 1
-    assert links.target_of(1) is None
-    assert links.link_of(0) == (1, 0.5, PairMode.MOVING)
-    assert links.link_of(1) is None
     assert list(links.linked_indices()) == [0]
 
 

@@ -116,7 +116,7 @@ def _two_vessel_toy():
 
 def test_grouping_separates_distant_vessels():
     ds = _two_vessel_toy()
-    assignment = npc_cluster(ds)
+    assignment = npc_cluster(npc_grouping_targets(ds))
     # reports interleave in time as a, b, a, b, ...
     assert list(assignment.cluster_of) == [0, 1, 0, 1, 0, 1]
     assert assignment.n_clusters == 2
