@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +22,8 @@ from .cbtr import run_cbtr, surviving_targets
 from .export import export_geojson, export_label_timeline
 from .ingest import IngestError, parse_ais_csv, write_ais_csv
 from .metrics import EvalReport, build_report, successor_targets
-from .model import AisPoint, CbtrConfig, ClusterAssignment, TrackDataset
-from .npc import (
-    NpcConfig,
-    UnclassifiablePointError,
-    npc_classify,
-    npc_cluster,
-    npc_grouping_targets,
-)
+from .model import CbtrConfig, ClusterAssignment, TrackDataset
+from .npc import NpcConfig, npc_classify, npc_cluster, npc_grouping_targets
 from .synth import (
     ARCHETYPES,
     PATTERNS,
@@ -41,36 +35,28 @@ from .synth import (
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest_text(command: str, config: dict, input_sha256: str,
+                   report: EvalReport | None) -> str:
     """What produced a set of output files.
 
     Execution details that do not affect the outputs (worker count, wall
     time) are deliberately left out, so re-running a manifest's command on
     its input reproduces the files byte for byte.
     """
-
-    command: str
-    config: dict
-    input_sha256: str
-    seed: str
-    outputs: dict
-    report: EvalReport | None
-
-    def to_text(self) -> str:
-        lines = [f"command = {self.command}"]
-        for key in sorted(self.config):
-            lines.append(f"config.{key} = {self.config[key]}")
-        lines.append(f"input_sha256 = {self.input_sha256}")
-        lines.append(f"seed = {self.seed}")
-        for key in sorted(self.outputs):
-            lines.append(f"output.{key} = {self.outputs[key]}")
-        if self.report is not None:
-            lines.append("report:")
-            lines.append(self.report.to_text(include_runtime=False))
-        else:
-            lines.append("report: unavailable (input has no vessel ids)")
-        return "\n".join(lines) + "\n"
+    lines = [f"command = {command}"]
+    for key in sorted(config):
+        lines.append(f"config.{key} = {config[key]}")
+    lines += [f"input_sha256 = {input_sha256}",
+              "seed = -",
+              "output.assignment = assignment.csv",
+              "output.geojson = tracks.geojson",
+              "output.svg = timeline.svg"]
+    if report is not None:
+        lines.append("report:")
+        lines.append(report.to_text(include_runtime=False))
+    else:
+        lines.append("report: unavailable (input has no vessel ids)")
+    return "\n".join(lines) + "\n"
 
 
 def _sha256_of(path: str) -> str:
@@ -82,58 +68,29 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _cbtr_config_from(args: argparse.Namespace) -> CbtrConfig:
-    return CbtrConfig(
-        window_s=args.window_s,
-        moving_speed_sum=args.moving_speed_sum,
-        time_weight_moving=args.time_weight_moving,
-        time_weight_steady=args.time_weight_steady,
-        angle_time_weight=args.angle_time_weight,
-        cos_moving_min=args.cos_moving_min,
-        cos_steady_min=args.cos_steady_min,
-        n_abnormal=args.n_abnormal,
-        turn_rescue_dist_m=args.turn_rescue_dist_m,
-        turn_rescue_cos_min=args.turn_rescue_cos_min,
-    )
-
-
-def _npc_config_from(args: argparse.Namespace) -> NpcConfig:
-    return NpcConfig(
-        k_neighbors=args.k_neighbors,
-        time_weight=args.npc_time_weight,
-        lat_weight=args.npc_lat_weight,
-        lon_weight=args.npc_lon_weight,
-        sog_weight=args.npc_sog_weight,
-        cog_weight=args.npc_cog_weight,
-    )
-
-
-def _config_dict(cfg) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+def _config_from(args: argparse.Namespace, cls):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _add_cbtr_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = CbtrConfig()
-    parser.add_argument("--window-s", type=int, default=defaults.window_s)
-    parser.add_argument("--moving-speed-sum", type=float, default=defaults.moving_speed_sum)
-    parser.add_argument("--time-weight-moving", type=float, default=defaults.time_weight_moving)
-    parser.add_argument("--time-weight-steady", type=float, default=defaults.time_weight_steady)
-    parser.add_argument("--angle-time-weight", type=float, default=defaults.angle_time_weight)
-    parser.add_argument("--cos-moving-min", type=float, default=defaults.cos_moving_min)
-    parser.add_argument("--cos-steady-min", type=float, default=defaults.cos_steady_min)
-    parser.add_argument("--n-abnormal", type=int, default=defaults.n_abnormal)
-    parser.add_argument("--turn-rescue-dist-m", type=float, default=defaults.turn_rescue_dist_m)
-    parser.add_argument("--turn-rescue-cos-min", type=float, default=defaults.turn_rescue_cos_min)
+    for f in fields(CbtrConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"),
+                            type=type(f.default), default=f.default)
 
 
 def _add_npc_flags(parser: argparse.ArgumentParser) -> None:
     defaults = NpcConfig()
     parser.add_argument("--k-neighbors", type=int, default=defaults.k_neighbors)
-    parser.add_argument("--npc-time-weight", type=float, default=defaults.time_weight)
-    parser.add_argument("--npc-lat-weight", type=float, default=defaults.lat_weight)
-    parser.add_argument("--npc-lon-weight", type=float, default=defaults.lon_weight)
-    parser.add_argument("--npc-sog-weight", type=float, default=defaults.sog_weight)
-    parser.add_argument("--npc-cog-weight", type=float, default=defaults.cog_weight)
+    parser.add_argument("--npc-time-weight", dest="time_weight", type=float,
+                        default=defaults.time_weight)
+    parser.add_argument("--npc-lat-weight", dest="lat_weight", type=float,
+                        default=defaults.lat_weight)
+    parser.add_argument("--npc-lon-weight", dest="lon_weight", type=float,
+                        default=defaults.lon_weight)
+    parser.add_argument("--npc-sog-weight", dest="sog_weight", type=float,
+                        default=defaults.sog_weight)
+    parser.add_argument("--npc-cog-weight", dest="cog_weight", type=float,
+                        default=defaults.cog_weight)
 
 
 def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment) -> str:
@@ -177,12 +134,9 @@ def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     ds = parse_ais_csv(args.input)
-    if args.algo == "cbtr":
-        cfg = _cbtr_config_from(args)
-    else:
-        cfg = _npc_config_from(args)
+    cfg = _config_from(args, CbtrConfig if args.algo == "cbtr" else NpcConfig)
     if args.print_config:
-        for key, value in sorted(_config_dict(cfg).items()):
+        for key, value in sorted(asdict(cfg).items()):
             print(f"{key} = {value}")
 
     start = time.perf_counter()
@@ -209,56 +163,23 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     _write_text(out / "tracks.geojson",
                 json.dumps(export_geojson(ds, assignment), indent=2) + "\n")
     _write_text(out / "timeline.svg", export_label_timeline(ds, assignment))
-    manifest = RunManifest(
-        command=f"cluster --algo {args.algo}",
-        config=_config_dict(cfg),
-        input_sha256=_sha256_of(args.input),
-        seed="-",
-        outputs={"assignment": "assignment.csv", "geojson": "tracks.geojson",
-                 "svg": "timeline.svg"},
-        report=report,
-    )
-    _write_text(out / "manifest.txt", manifest.to_text())
+    _write_text(out / "manifest.txt",
+                _manifest_text(f"cluster --algo {args.algo}", asdict(cfg),
+                               _sha256_of(args.input), report))
     print(f"wrote {out / 'assignment.csv'}")
     return 0
-
-
-def _epoch_seconds(ds: TrackDataset) -> int:
-    if not ds.epoch:
-        return 0
-    try:
-        return int(ds.epoch)
-    except ValueError:
-        from datetime import datetime
-        return int(datetime.fromisoformat(ds.epoch).timestamp())
-
-
-def _rebase(ds: TrackDataset, shift: int) -> TrackDataset:
-    if shift == 0:
-        return ds
-    points = [AisPoint(int(ds.t[i]) + shift, float(ds.lat[i]), float(ds.lon[i]),
-                       float(ds.sog[i]), float(ds.cog[i]),
-                       ds.vids[i] if ds.vids else None)
-              for i in range(len(ds))]
-    return TrackDataset.from_points(points, epoch=ds.epoch)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     train = parse_ais_csv(args.train, has_labels=True)
     test = parse_ais_csv(args.test)
     # both files were rebased to their own start; restore a shared timeline
-    train_epoch = _epoch_seconds(train)
-    test_epoch = _epoch_seconds(test)
-    base = min(train_epoch, test_epoch)
-    train = _rebase(train, train_epoch - base)
-    test = _rebase(test, test_epoch - base)
+    base = min(int(train.epoch), int(test.epoch))
+    train, test = (replace(ds, t=ds.t + (int(ds.epoch) - base))
+                   for ds in (train, test))
 
     labels = npc_classify(train, test)
-    points = [AisPoint(int(test.t[i]), float(test.lat[i]), float(test.lon[i]),
-                       float(test.sog[i]), float(test.cog[i]), labels[i])
-              for i in range(len(test))]
-    labeled = TrackDataset.from_points(points, epoch=test.epoch)
-    write_ais_csv(labeled, args.out)
+    write_ais_csv(replace(test, vids=labels), args.out)
     if test.has_vids():
         hits = sum(a == b for a, b in zip(labels, test.vids))
         print(f"classified {len(labels)} points, accuracy {hits / len(labels):.4f}")
@@ -385,9 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, UnclassifiablePointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .model import ClusterAssignment, TrackDataset
@@ -44,8 +42,7 @@ _SVG_STYLE = (
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
-def export_label_timeline(ds: TrackDataset, assignment: ClusterAssignment,
-                          truth: Sequence[str] | None = None) -> str:
+def export_label_timeline(ds: TrackDataset, assignment: ClusterAssignment) -> str:
     """Time extents of true vessels (blue) over predicted clusters (red).
 
     Each label gets a horizontal segment spanning its first to last report.
@@ -55,17 +52,13 @@ def export_label_timeline(ds: TrackDataset, assignment: ClusterAssignment,
     """
     if len(ds) != len(assignment):
         raise ValueError("dataset and assignment must align")
-    if truth is None and ds.has_vids():
-        truth = ds.vids
 
     truth_rows: list[tuple[str, int, int]] = []
-    if truth is not None:
-        if len(truth) != len(ds):
-            raise ValueError("truth labels must align with the dataset")
+    if ds.has_vids():
         seen: dict[str, int] = {}
         spans: list[list[int]] = []
         order: list[str] = []
-        for i, label in enumerate(truth):
+        for i, label in enumerate(ds.vids):
             if label not in seen:
                 seen[label] = len(spans)
                 spans.append([int(ds.t[i]), int(ds.t[i])])

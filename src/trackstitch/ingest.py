@@ -4,7 +4,8 @@ The accepted schema is a header row followed by data rows, with columns in
 this order: an optional leading ``vid``, then ``timestamp``, ``lat``,
 ``lon``, ``sog``, ``cog``.  Timestamps are either integer seconds or
 ISO-8601 datetimes (naive values are taken as UTC).  On parse, times are
-shifted so the earliest report sits at t=0.
+shifted so the earliest report sits at t=0, and the dataset's ``epoch`` holds
+that report's unix time in integer seconds.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import csv
 import io
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, TextIO, Union
+from typing import TextIO, Union
 
 from .model import AisPoint, TrackDataset
 
 REQUIRED_COLUMNS = ("timestamp", "lat", "lon", "sog", "cog")
 
-Source = Union[str, Path, BinaryIO, TextIO]
+Source = Union[str, Path, TextIO]
 
 
 class IngestError(ValueError):
@@ -29,16 +30,13 @@ class IngestError(ValueError):
 def _read_text(source: Source) -> str:
     if isinstance(source, (str, Path)):
         return Path(source).read_text(encoding="utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+    return source.read()
 
 
-def _parse_timestamp(raw: str, line: int) -> tuple[int, bool]:
-    """Returns (epoch seconds, was_iso)."""
+def _parse_timestamp(raw: str, line: int) -> int:
+    """Unix time in integer seconds."""
     try:
-        return int(raw), False
+        return int(raw)
     except ValueError:
         pass
     try:
@@ -47,7 +45,7 @@ def _parse_timestamp(raw: str, line: int) -> tuple[int, bool]:
         raise IngestError(f"line {line}: bad timestamp {raw!r}") from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp()), True
+    return int(stamp.timestamp())
 
 
 def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDataset:
@@ -75,7 +73,6 @@ def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDatase
 
     raw_t: list[int] = []
     records: list[tuple[float, float, float, float, str | None]] = []
-    any_iso = False
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -86,8 +83,7 @@ def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDatase
         if labeled and not vid:
             raise IngestError(f"line {line_no}: empty vid")
         offset = 1 if labeled else 0
-        seconds, was_iso = _parse_timestamp(row[offset].strip(), line_no)
-        any_iso = any_iso or was_iso
+        seconds = _parse_timestamp(row[offset].strip(), line_no)
         try:
             lat = float(row[offset + 1])
             lon = float(row[offset + 2])
@@ -108,11 +104,7 @@ def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDatase
             points.append(AisPoint(seconds - t0, lat, lon, sog, cog, vid))
         except ValueError as exc:
             raise IngestError(f"line {line_no}: {exc}") from None
-    if any_iso:
-        epoch = datetime.fromtimestamp(t0, tz=timezone.utc).isoformat()
-    else:
-        epoch = str(t0)
-    return TrackDataset.from_points(points, epoch=epoch)
+    return TrackDataset.from_points(points, epoch=str(t0))
 
 
 def write_ais_csv(ds: TrackDataset, dest: Union[str, Path, TextIO]) -> None:

@@ -40,22 +40,20 @@ def jumps_merges(assignment: ClusterAssignment, vids: Sequence[str]) -> tuple[in
     """Count how often vessels split across clusters and clusters mix vessels.
 
     A vessel spread over c clusters contributes c-1 jumps; a cluster holding
-    v vessels contributes v-1 merges.
+    v vessels contributes v-1 merges.  Summed, each count is the number of
+    distinct (vessel, cluster) pairs minus the number of vessels or clusters.
     """
     if len(assignment) != len(vids):
         raise ValueError("assignment and vids must align")
     if len(vids) == 0:
         raise ValueError("empty truth")
-    clusters_of_vessel: dict[str, set[int]] = {}
-    vessels_of_cluster: dict[int, set[str]] = {}
-    for i, vid in enumerate(vids):
+    pairs: set[tuple[str, int]] = set()
+    for i, (vid, cid) in enumerate(zip(vids, assignment.cluster_of.tolist())):
         if vid is None:
             raise ValueError(f"point {i} has no vid")
-        cid = int(assignment.cluster_of[i])
-        clusters_of_vessel.setdefault(vid, set()).add(cid)
-        vessels_of_cluster.setdefault(cid, set()).add(vid)
-    jumps = sum(len(cs) - 1 for cs in clusters_of_vessel.values())
-    merges = sum(len(vs) - 1 for vs in vessels_of_cluster.values())
+        pairs.add((vid, cid))
+    jumps = len(pairs) - len({vid for vid, _ in pairs})
+    merges = len(pairs) - len({cid for _, cid in pairs})
     return jumps, merges
 
 

@@ -82,7 +82,8 @@ class TrackDataset:
     """A time-sorted point set stored as parallel column arrays.
 
     Immutable after construction; the arrays are marked read-only.  Ties in
-    ``t`` keep their original input order.
+    ``t`` keep their original input order.  ``epoch`` is the unix time of
+    t=0 in integer seconds, written as a string.
     """
 
     t: np.ndarray
@@ -93,6 +94,10 @@ class TrackDataset:
     vids: tuple[str, ...] | None
     alpha: float
     epoch: str = ""
+
+    def __post_init__(self):
+        for arr in (self.t, self.lat, self.lon, self.sog, self.cog):
+            arr.setflags(write=False)
 
     @classmethod
     def from_points(cls, points: Sequence[AisPoint], epoch: str = "") -> "TrackDataset":
@@ -109,8 +114,6 @@ class TrackDataset:
         if any(with_vid) and not all(with_vid):
             raise ValueError("either every point carries a vid or none does")
         vids = tuple(points[i].vid for i in order) if all(with_vid) else None
-        for arr in (t, lat, lon, sog, cog):
-            arr.setflags(write=False)
         alpha = latitude_scale(lat)
         return cls(t=t, lat=lat, lon=lon, sog=sog, cog=cog, vids=vids,
                    alpha=alpha, epoch=epoch)

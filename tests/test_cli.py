@@ -1,13 +1,41 @@
+import csv
 import subprocess
 import sys
+from dataclasses import fields
+from datetime import datetime, timezone
 
 import pytest
 
 from trackstitch.cli import main
 from trackstitch.ingest import parse_ais_csv, write_ais_csv
-from trackstitch.model import AisPoint, TrackDataset
+from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
+from trackstitch.npc import NpcConfig
 
 OUT_FILES = ("assignment.csv", "tracks.geojson", "timeline.svg", "manifest.txt")
+
+# (flag, config field, a non-default value) for every cluster config flag
+CONFIG_FLAGS = {
+    CbtrConfig: [
+        ("--window-s", "window_s", 700),
+        ("--moving-speed-sum", "moving_speed_sum", 2.5),
+        ("--time-weight-moving", "time_weight_moving", 3e-6),
+        ("--time-weight-steady", "time_weight_steady", 4e-9),
+        ("--angle-time-weight", "angle_time_weight", 2e-5),
+        ("--cos-moving-min", "cos_moving_min", 0.2),
+        ("--cos-steady-min", "cos_steady_min", 0.9),
+        ("--n-abnormal", "n_abnormal", 40),
+        ("--turn-rescue-dist-m", "turn_rescue_dist_m", 300.0),
+        ("--turn-rescue-cos-min", "turn_rescue_cos_min", 0.5),
+    ],
+    NpcConfig: [
+        ("--k-neighbors", "k_neighbors", 4),
+        ("--npc-time-weight", "time_weight", 3e-5),
+        ("--npc-lat-weight", "lat_weight", 0.9),
+        ("--npc-lon-weight", "lon_weight", 1.1),
+        ("--npc-sog-weight", "sog_weight", 0.01),
+        ("--npc-cog-weight", "cog_weight", 0.001),
+    ],
+}
 
 
 @pytest.fixture()
@@ -81,6 +109,23 @@ def test_cluster_print_config(fleet_csv, tmp_path, capsys):
     assert "config.window_s = 300" in manifest
 
 
+@pytest.mark.parametrize("cls, algo", [(CbtrConfig, "cbtr"), (NpcConfig, "npc")])
+def test_every_config_flag_reaches_the_config(fleet_csv, tmp_path, capsys, cls, algo):
+    assert [name for _, name, _ in CONFIG_FLAGS[cls]] == [f.name for f in fields(cls)]
+    outdir = tmp_path / algo
+    argv = ["cluster", str(fleet_csv), "--algo", algo, "--out", str(outdir),
+            "--print-config"]
+    for flag, _, value in CONFIG_FLAGS[CbtrConfig] + CONFIG_FLAGS[NpcConfig]:
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    manifest = (outdir / "manifest.txt").read_text().splitlines()
+    for _, name, value in CONFIG_FLAGS[cls]:
+        assert value != getattr(cls(), name)
+        assert f"{name} = {value}" in printed
+        assert f"config.{name} = {value}" in manifest
+
+
 def test_cluster_unlabeled_input(fleet_csv, tmp_path, capsys):
     labeled = parse_ais_csv(str(fleet_csv), has_labels=True)
     stripped = TrackDataset.from_points(
@@ -111,6 +156,30 @@ def test_classify_flow(fleet_csv, tmp_path, capsys):
     relabeled = parse_ais_csv(str(out), has_labels=True)
     truth = parse_ais_csv(str(fleet_csv), has_labels=True)
     assert relabeled.vids == truth.vids
+
+
+def test_classify_across_offset_start_times(fleet_csv, tmp_path, capsys):
+    # history in ISO timestamps; test reports in unix seconds, starting later
+    start = 1714521600  # 2024-05-01T00:00:00Z
+    rows = [line.split(",", 2) for line in fleet_csv.read_text().splitlines()[1:]]
+    t0 = min(int(t) for _, t, _ in rows)
+    later = [(vid, int(t), rest) for vid, t, rest in rows if int(t) >= t0 + 300]
+    header = "vid,timestamp,lat,lon,sog,cog\n"
+    train = tmp_path / "train.csv"
+    train.write_text(header + "".join(
+        f"{vid},{datetime.fromtimestamp(start + int(t), tz=timezone.utc).isoformat()},{rest}\n"
+        for vid, t, rest in rows))
+    test = tmp_path / "test.csv"
+    test.write_text(header + "".join(f"{vid},{start + t},{rest}\n" for vid, t, rest in later))
+
+    out = tmp_path / "labeled.csv"
+    assert main(["classify", str(train), str(test), "--out", str(out)]) == 0
+    assert "accuracy 1.0000" in capsys.readouterr().out
+    with open(out, newline="") as handle:
+        written = list(csv.reader(handle))[1:]
+    # times are offsets from the earlier of the two starts
+    assert [int(row[1]) for row in written] == [t - t0 for _, t, _ in later]
+    assert [row[0] for row in written] == [vid for vid, _, _ in later]
 
 
 def test_downsample_flow(fleet_csv, tmp_path, capsys):

@@ -78,12 +78,6 @@ def test_timeline_without_truth_shows_clusters_only():
     assert svg.count('stroke="#1f77b4"') == 0
 
 
-def test_timeline_truth_override_must_align():
-    ds, assignment = _toy()
-    with pytest.raises(ValueError):
-        export_label_timeline(ds, assignment, truth=["a"])
-
-
 def test_timeline_escapes_markup_in_labels():
     pts = [AisPoint(0, 37.0, -76.0, 5.0, 90.0, vid="A&<B>"),
            AisPoint(60, 37.0, -75.99, 5.0, 90.0, vid="A&<B>")]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,9 @@ def test_dataset_arrays_read_only():
     ds = TrackDataset.from_points(_points())
     with pytest.raises(ValueError):
         ds.lat[0] = 0.0
+    shifted = replace(ds, t=ds.t + 5)
+    with pytest.raises(ValueError):
+        shifted.t[0] = 0
 
 
 def test_dataset_alpha_matches_scale():
