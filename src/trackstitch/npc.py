@@ -21,6 +21,10 @@ from .model import ClusterAssignment, TrackDataset
 # classification looks back at most this many reports per label
 RECENT_PER_LABEL = 10
 
+# reports whose neighbors are searched per numpy pass; each pass scores
+# them against one contiguous time window of the dataset
+_BLOCK_ROWS = 32
+
 
 @dataclass(frozen=True)
 class NpcConfig:
@@ -52,7 +56,9 @@ class UnclassifiablePointError(ValueError):
 
     def __init__(self, indices: list[int]):
         self.indices = indices
-        super().__init__(f"no labeled history for test points {indices}")
+        shown = ", ".join(str(i) for i in indices[:10])
+        more = ", ..." if len(indices) > 10 else ""
+        super().__init__(f"no labeled history for {len(indices)} test points: {shown}{more}")
 
 
 def _mean_course_deg(a: float, b: float) -> float:
@@ -117,34 +123,64 @@ def npc_classify(train: TrackDataset, test: TrackDataset) -> tuple[str, ...]:
     return tuple(results)
 
 
+def _window_d2(feats: list[np.ndarray], a: int, b: int, lo: int, hi: int) -> np.ndarray:
+    """Squared feature distances of reports a..b-1 to reports lo..hi-1, self
+    cells set to inf.  Direct differences, time term first: every other term
+    is non-negative, so no cell rounds below its time term."""
+    d2 = np.subtract.outer(feats[0][a:b], feats[0][lo:hi])
+    d2 *= d2
+    for col in feats[1:]:
+        diff = np.subtract.outer(col[a:b], col[lo:hi])
+        diff *= diff
+        d2 += diff
+    d2[np.arange(b - a), np.arange(a - lo, b - lo)] = np.inf
+    return d2
+
+
 def npc_grouping_targets(ds: TrackDataset, cfg: NpcConfig | None = None) -> np.ndarray:
     """For each report, the neighbor it groups with.
 
     Among the k feature-space nearest neighbors, pick the one whose actual
     position best matches extrapolating this report with the pair's average
     velocity over their (signed) time difference.
+
+    The neighbors are searched in a window of the time-sorted reports around
+    each block of rows.  The window is kept only when every report outside it
+    is, by its time term alone, strictly farther than each row's k-th nearest
+    inside; otherwise it is widened.  Ties go to the lower index.
     """
     cfg = cfg or NpcConfig()
     n = len(ds)
-    if n < cfg.k_neighbors + 1:
-        raise ValueError(f"need at least {cfg.k_neighbors + 1} points")
+    k = cfg.k_neighbors
+    if n < k + 1:
+        raise ValueError(f"need at least {k + 1} points")
     lat_w = ds.alpha if cfg.lat_weight is None else cfg.lat_weight
-    feats = np.stack([
-        cfg.time_weight * ds.t.astype(np.float64),
-        lat_w * ds.lat,
-        cfg.lon_weight * ds.lon,
-        cfg.sog_weight * ds.sog,
-        cfg.cog_weight * ds.cog,
-    ], axis=1)
-    sq = np.einsum("ij,ij->i", feats, feats)
+    tf = cfg.time_weight * ds.t.astype(np.float64)
+    # a zero-weight term adds exactly 0.0 to every distance, so it is left out
+    feats = [tf] + [w * col for w, col in ((lat_w, ds.lat), (cfg.lon_weight, ds.lon),
+                                           (cfg.sog_weight, ds.sog), (cfg.cog_weight, ds.cog))
+                    if w != 0]
 
     targets = np.empty(n, dtype=np.int64)
-    chunk = max(1, min(n, 4_000_000 // max(n, 1)))
-    for a in range(0, n, chunk):
-        b = min(n, a + chunk)
-        d2 = sq[a:b, None] + sq[None, :] - 2.0 * (feats[a:b] @ feats.T)
-        d2[np.arange(b - a), np.arange(a, b)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :cfg.k_neighbors]
+    radius = k  # reports scored on each side of a block, at least k
+    for a in range(0, n, _BLOCK_ROWS):
+        b = min(n, a + _BLOCK_ROWS)
+        while True:
+            lo, hi = max(0, a - radius), min(n, b + radius)
+            d2 = _window_d2(feats, a, b, lo, hi)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            # tf is non-decreasing, so the reports at lo-1 and hi have the
+            # smallest time gaps of all reports outside the window
+            if ((lo == 0 or np.all((tf[a:b] - tf[lo - 1]) ** 2 > kth))
+                    and (hi == n or np.all((tf[hi] - tf[a:b]) ** 2 > kth))):
+                break
+            radius *= 2
+        # the columns within some row's k-th best hold every neighbor and
+        # span the radius this block needed
+        near = np.flatnonzero(np.any(d2 <= kth[:, None], axis=0))
+        first, last = lo + int(near[0]), lo + int(near[-1]) + 1
+        radius = max(k, a - first, last - b)
+        order = np.argsort(d2[:, first - lo:last - lo], axis=1, kind="stable")[:, :k] + first
         for row, i in enumerate(range(a, b)):
             best_j = -1
             best_d = math.inf

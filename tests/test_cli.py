@@ -182,6 +182,26 @@ def test_classify_across_offset_start_times(fleet_csv, tmp_path, capsys):
     assert [row[0] for row in written] == [vid for vid, _, _ in later]
 
 
+def test_classify_before_history_prints_one_short_error(tmp_path, capsys):
+    fleet = tmp_path / "fleet.csv"
+    assert main(["synth", "--n-vessels", "10", "--duration-s", "900", "--seed", "5",
+                 "--out", str(fleet)]) == 0
+    # the history starts 450 s into the fleet, so every earlier test report
+    # is unclassifiable
+    header, *lines = fleet.read_text().splitlines()
+    times = [int(line.split(",")[1]) for line in lines]
+    late = [line for line, t in zip(lines, times) if t >= min(times) + 450]
+    train = tmp_path / "train.csv"
+    train.write_text("".join(f"{line}\n" for line in [header, *late]))
+    capsys.readouterr()
+    assert main(["classify", str(train), str(fleet),
+                 "--out", str(tmp_path / "labeled.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: no labeled history for {len(lines) - len(late)} test points: ")
+    assert len(err[0]) < 200
+
+
 def test_downsample_flow(fleet_csv, tmp_path, capsys):
     out = tmp_path / "thin.csv"
     assert main(["downsample", str(fleet_csv), "--pattern", "every-2nd",

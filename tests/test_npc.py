@@ -1,8 +1,13 @@
 import math
+import random
+import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import reference
+from trackstitch import npc
 from trackstitch.model import AisPoint, TrackDataset
 from trackstitch.npc import (
     NpcConfig,
@@ -11,7 +16,7 @@ from trackstitch.npc import (
     npc_cluster,
     npc_grouping_targets,
 )
-from trackstitch.synth import generate_fleet
+from trackstitch.synth import generate_fleet, scenario_s1
 
 from conftest import small_mixed_config
 
@@ -101,6 +106,14 @@ def test_classify_reports_unreachable_points():
     assert err.value.indices == [0, 1]
 
 
+def test_unclassifiable_message_is_bounded():
+    err = UnclassifiablePointError(list(range(88)))
+    assert err.indices == list(range(88))
+    assert str(err) == ("no labeled history for 88 test points: "
+                        "0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...")
+    assert str(UnclassifiablePointError([3, 4])) == "no labeled history for 2 test points: 3, 4"
+
+
 def _two_vessel_toy():
     pts = []
     lat, lon = 37.0, -76.2
@@ -181,3 +194,91 @@ def test_grouping_respects_feature_weights():
     heavy = NpcConfig(k_neighbors=2, sog_weight=100.0)
     got = npc_grouping_targets(ds, heavy)
     assert list(got) == _bruteforce_targets(ds, heavy)
+
+
+def _twice(ds):
+    # every report twice at the same time and place
+    return TrackDataset.from_points([ds.point(i) for i in range(len(ds)) for _ in (0, 1)])
+
+
+@pytest.mark.parametrize("cfg", [
+    NpcConfig(time_weight=0.0),
+    NpcConfig(time_weight=1.0),
+    NpcConfig(k_neighbors=1),
+    NpcConfig(k_neighbors=5),
+    NpcConfig(sog_weight=1e-3, cog_weight=1e-5),
+], ids=["no-time", "time-1", "k1", "k5", "sog-cog"])
+def test_grouping_edge_configs_match_bruteforce(cfg, monkeypatch):
+    # small blocks, so the search runs over many windows of the fleet
+    monkeypatch.setattr(npc, "_BLOCK_ROWS", 16)
+    ds = generate_fleet(small_mixed_config(63, n_vessels=5, duration_s=2400))
+    assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_grouping_duplicate_ties_match_bruteforce(k, monkeypatch):
+    # each report's twin is at distance 0 and the next nearest report comes
+    # with its own twin at the same distance, so ties straddle the k-th place
+    monkeypatch.setattr(npc, "_BLOCK_ROWS", 16)
+    ds = _twice(generate_fleet(small_mixed_config(64, n_vessels=4, duration_s=1200)))
+    cfg = NpcConfig(k_neighbors=k)
+    assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
+
+
+def _exact_ties(seed):
+    # reports at rest on latitudes a binary fraction apart, scored with unit
+    # latitude weight and a power-of-two time weight: every distance is exact,
+    # so equal distances, on either side of a report, are common
+    rng = random.Random(seed)
+    t, pts = 0, []
+    for _ in range(120):
+        t += rng.choice((0, 1, 1, 2, 4))
+        pts.append(_pt(t, 37.0 + rng.choice((0, 1, 2, 8)) * 2.0 ** -8, -76.0, 0.0, 0.0))
+    return TrackDataset.from_points(pts)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_grouping_exact_ties_match_bruteforce(seed, k, rows, monkeypatch):
+    monkeypatch.setattr(npc, "_BLOCK_ROWS", rows)
+    ds = _exact_ties(seed)
+    cfg = NpcConfig(k_neighbors=k, time_weight=2.0 ** -6, lat_weight=1.0)
+    assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_grouping_smallest_dataset_matches_bruteforce(k):
+    ds = TrackDataset.from_points([_pt(10 * m, 37.0 + 0.001 * m, -76.0, 5.0, 0.0)
+                                   for m in range(k + 1)])
+    cfg = NpcConfig(k_neighbors=k)
+    assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
+
+
+@pytest.fixture(scope="module", params=["gapped", "duplicated"])
+def block_fleet(request):
+    ds = generate_fleet(replace(small_mixed_config(65, n_vessels=8, duration_s=3000),
+                                gaps_per_vessel=1, gap_duration_s=(300, 500)))
+    if request.param == "duplicated":
+        ds = _twice(ds)
+    return ds, npc_grouping_targets(ds)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 97])
+def test_block_size_is_invisible(block_fleet, rows, monkeypatch):
+    ds, default = block_fleet
+    monkeypatch.setattr(npc, "_BLOCK_ROWS", rows)
+    assert np.array_equal(npc_grouping_targets(ds), default)
+
+
+def test_grouping_memory_is_not_quadratic():
+    # ~18.8k reports, so 16 MB holds fewer than 112 full rows of float64 distances
+    ds = generate_fleet(replace(scenario_s1(), duration_s=50_000))
+    assert len(ds) > 15_000
+    tracemalloc.start()
+    try:
+        npc_grouping_targets(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from test_acceptance import NPC_RATE
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -20,3 +22,12 @@ def test_script_help_runs(script):
     proc = subprocess.run([sys.executable, str(script), "--help"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_s1_benchmark_script_reports_npc_golden():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_s1_benchmark.py")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    npc_part = proc.stdout.split("== next-point connection ==", 1)[1]
+    assert f"correct_neighbor_rate = {NPC_RATE:.6f}\n" in npc_part
