@@ -51,13 +51,13 @@ class CbtrResult(NamedTuple):
     report: AbnormalReport
 
 
-# cells scored per numpy pass; a block takes as many consecutive reports as
-# fit this budget over the union of their windows
+# report-candidate cells scored per numpy pass at most; a pass takes as many
+# reports as fit this budget over the columns each has left to score
 _BLOCK_CELLS = 16384
 
 
 class _Workspace:
-    """Per-report arrays of reports start..stop-1, shared by every block."""
+    """Per-report arrays of reports start..stop-1, shared by every pass."""
 
     __slots__ = ("cfg", "tf", "lat", "lon", "sog", "vn", "ve", "alpha")
 
@@ -93,50 +93,46 @@ def candidate_window(ds: TrackDataset, i: int, cfg: CbtrConfig | None = None) ->
 
 
 class _Scratch:
-    """Block buffers that one worker reuses for every block it scores.
+    """Cell buffers that one worker reuses for every pass.
 
-    Scoring a block then allocates nothing block-sized, so the pages of its
-    temporaries are faulted in once per worker instead of once per block,
-    and each worker holds one block's worth of memory.
+    Scoring a pass then allocates nothing pass-sized, so the pages of its
+    temporaries are faulted in once per worker instead of once per pass,
+    and each worker holds one pass's worth of memory.
     """
 
     def __init__(self, cells: int):
-        self._grow(cells)
-
-    def _grow(self, cells: int) -> None:
-        self.cells = cells
         self.floats = np.empty((11, cells))
         self.flags = np.empty((3, cells), dtype=bool)
 
     def views(self, rows: int, cols: int):
         cells = rows * cols
-        if cells > self.cells:  # one row wider than the budget
-            self._grow(cells)
         return (list(self.floats[:, :cells].reshape(-1, rows, cols)),
                 list(self.flags[:, :cells].reshape(-1, rows, cols)))
 
 
-def _score_block(ws: _Workspace, scratch: _Scratch, s: int, e: int, lo: int, hi: int):
-    """Best next report for each of rows s..e-1, searched in columns lo..hi-1.
+def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.ndarray):
+    """Best next report for each of ``rows``, searched in its row of ``cols``.
 
-    Every row is scored against the whole column range at once; cells
-    outside a row's own window are masked.  Times are sorted whole seconds,
-    so a cell is inside exactly when 1 <= dt <= window_s.  Every cell goes
-    through the same operations in the same order whichever block holds it,
-    so results do not depend on block size.  Returns the linked rows with
-    their target column, error and mode (1 moving, 2 steady).
+    ``cols`` holds one ascending row of column indices per row; all cells
+    are scored at once, and cells outside a row's own window are masked.
+    Times are sorted whole seconds, so a cell is inside exactly when
+    1 <= dt <= window_s.  Every cell goes through the same operations in the
+    same order whichever pass holds it, so results do not depend on how rows
+    and columns are split into passes.  Returns the linked rows with their
+    target column, error and mode (1 moving, 2 steady); ties go to the
+    earliest column.
     """
     cfg = ws.cfg
     alpha = ws.alpha
-    lat_i, lon_i = ws.lat[s:e, None], ws.lon[s:e, None]
-    lat_j, lon_j = ws.lat[lo:hi], ws.lon[lo:hi]
+    lat_i, lon_i = ws.lat[rows, None], ws.lon[rows, None]
+    lat_j, lon_j = ws.lat[cols], ws.lon[cols]
     # each result goes into a buffer whose previous content is no longer read
-    f, (inside, moving, keep) = scratch.views(e - s, hi - lo)
+    f, (inside, moving, keep) = scratch.views(len(rows), cols.shape[1])
 
-    dt = np.subtract(ws.tf[lo:hi], ws.tf[s:e, None], out=f[0])
+    dt = np.subtract(ws.tf[cols], ws.tf[rows, None], out=f[0])
     np.greater_equal(dt, 1, out=inside)
     inside &= np.less_equal(dt, cfg.window_s, out=keep)
-    speed_sum = np.add(ws.sog[s:e, None], ws.sog[lo:hi], out=f[1])
+    speed_sum = np.add(ws.sog[rows, None], ws.sog[cols], out=f[1])
     np.greater(speed_sum, cfg.moving_speed_sum, out=moving)
 
     # direction of the pair in scaled space-time
@@ -164,9 +160,9 @@ def _score_block(ws: _Workspace, scratch: _Scratch, s: int, e: int, lo: int, hi:
         steady_score = np.where(cos_steady >= cfg.cos_steady_min, d0, np.inf)
 
     # fast pairs: heading agreement of i's dead-reckoned step with the pair
-    plat = np.multiply(ws.vn[s:e, None], dt, out=f[1])
+    plat = np.multiply(ws.vn[rows, None], dt, out=f[1])
     plat += lat_i
-    plon = np.multiply(ws.ve[s:e, None], dt, out=f[3])
+    plon = np.multiply(ws.ve[rows, None], dt, out=f[3])
     plon += lon_i
     ulat = np.subtract(plat, lat_i, out=f[7])
     ulat *= alpha
@@ -195,11 +191,11 @@ def _score_block(ws: _Workspace, scratch: _Scratch, s: int, e: int, lo: int, hi:
     forward = np.multiply(fl, fl, out=f[4])
     np.add(tt, forward, out=forward)
     forward += np.multiply(fo, fo, out=f[5])
-    bl = np.multiply(ws.vn[lo:hi], dt, out=f[1])
+    bl = np.multiply(ws.vn[cols], dt, out=f[1])
     np.subtract(lat_j, bl, out=bl)
     bl -= lat_i
     bl *= alpha
-    bo = np.multiply(ws.ve[lo:hi], dt, out=f[3])
+    bo = np.multiply(ws.ve[cols], dt, out=f[3])
     np.subtract(lon_j, bo, out=bo)
     bo -= lon_i
     backward = np.multiply(bl, bl, out=f[5])
@@ -213,11 +209,11 @@ def _score_block(ws: _Workspace, scratch: _Scratch, s: int, e: int, lo: int, hi:
     if steady.size:
         score.ravel()[steady] = steady_score
     col = np.argmin(score, axis=1)
-    best = score[np.arange(e - s), col]
+    best = score[np.arange(len(rows)), col]
     linked = np.flatnonzero(best < np.inf)
     col = col[linked]
     mode = np.where(moving[linked, col], 1, 2).astype(np.int8)
-    return s + linked, lo + col, best[linked], mode
+    return rows[linked], cols[linked, col], best[linked], mode
 
 
 def select_bpnp(ds: TrackDataset, i: int, cfg: CbtrConfig | None = None
@@ -237,41 +233,114 @@ def select_bpnp(ds: TrackDataset, i: int, cfg: CbtrConfig | None = None
         return None
     # only report i and its window are scored, so only they are prepared
     ws = _Workspace(ds, cfg, i, hi)
-    _, cols, errors, modes = _score_block(ws, _Scratch(hi - lo), 0, 1, lo - i, hi - i)
+    _, cols, errors, modes = _score_block(ws, _Scratch(hi - lo), np.zeros(1, dtype=np.int64),
+                                          np.arange(lo - i, hi - i)[None])
     if not cols.size:
         return None
     mode = PairMode.MOVING if modes[0] == 1 else PairMode.STEADY
     return i + int(cols[0]), float(errors[0]), mode
 
 
-def _block_stop(lo: np.ndarray, hi: np.ndarray, s: int, stop: int) -> int:
-    """End of the block starting at row s: the rows whose union window fits
-    _BLOCK_CELLS cells, and at least one row."""
-    rows = min(stop - s, max(1, _BLOCK_CELLS // max(int(hi[s] - lo[s]), 1)))
-    width = int(hi[s + rows - 1] - lo[s])
-    if rows * width > _BLOCK_CELLS:
-        # windows only move forward, so fewer rows never widen the union
-        rows = max(1, _BLOCK_CELLS // width)
-    return s + rows
+def _first_skipped(ws: _Workspace, rows: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Per row, the first column from which no moving cell can take the link.
+
+    A moving score is the mean of two terms that each start from the kernel's
+    tt = (time_weight_moving * dt)**2 and add only non-negative squares, so
+    it is never below tt.  Float rounding is monotone, and tt grows with dt,
+    so every moving cell from the first dt with tt >= best on scores at least
+    best; lying after the cell that holds best, it loses a tie as well.  The
+    estimate from sqrt(best) is settled with the kernel's own tt.
+    """
+    w = ws.cfg.time_weight_moving
+    last = ws.cfg.window_s + 1  # no window column is this far away
+
+    def skips(d):
+        tt = w * d
+        return tt * tt >= best
+
+    d = np.clip(np.ceil(np.sqrt(best) / w), 1, last)
+    while (down := (d > 1) & skips(d - 1)).any():
+        d -= down
+    while (up := (d < last) & ~skips(d)).any():
+        d += up
+    return np.searchsorted(ws.tf, ws.tf[rows] + d)
+
+
+def _score_bands(score, rows: np.ndarray, first: np.ndarray, last: np.ndarray,
+                 cols: np.ndarray) -> None:
+    """Score each of ``rows`` over cols[first:last], each at most _BLOCK_CELLS
+    wide, rows of similar width together: as many per pass as fit
+    _BLOCK_CELLS.  A pass pads its rows to its widest with the columns that
+    follow, clamped to the last column; a padding cell lies after every
+    cell its row has had scored, so it may be scored early."""
+    width = last - first
+    order = np.argsort(width, kind="stable")
+    rows, first, width = rows[order], first[order], width[order]
+    i = 0
+    while i < len(rows):
+        # the rows that would fit at width[i] bound the widest of a pass
+        widest = width[min(i + _BLOCK_CELLS // int(width[i]), len(rows)) - 1]
+        j = min(i + max(1, _BLOCK_CELLS // int(widest)), len(rows))
+        band = first[i:j, None] + np.arange(width[j - 1])
+        score(rows[i:j], cols[np.minimum(band, len(cols) - 1)])
+        i = j
 
 
 def _fill_links(ws: _Workspace, lo: np.ndarray, hi: np.ndarray,
                 targets: np.ndarray, errors: np.ndarray, modes: np.ndarray,
                 start: int, stop: int) -> None:
+    """Link rows start..stop-1.
+
+    Each row is scored over its window from the start, in rounds of doubling
+    width, until it reaches _first_skipped of the best it has found.  Then
+    each row that can pair as steady goes on over the columns that can, to
+    the end of its window.  Each pass of a row covers the columns after
+    those of its earlier passes (cells scored twice never win), and a later
+    pass wins only with a strictly lower error, so each row gets the same
+    link as one scan of its whole window.
+    """
     scratch = _Scratch(_BLOCK_CELLS)
-    s = start
-    while s < stop:
-        e = _block_stop(lo, hi, s, stop)
-        if hi[e - 1] > lo[s]:
-            rows, cols, err, mode = _score_block(ws, scratch, s, e,
-                                                 int(lo[s]), int(hi[e - 1]))
-            targets[rows], errors[rows], modes[rows] = cols, err, mode
-        s = e
+
+    def score(rows, cols):
+        found, col, err, mode = _score_block(ws, scratch, rows, cols)
+        better = err < errors[found]
+        found = found[better]
+        targets[found], errors[found], modes[found] = col[better], err[better], mode[better]
+
+    def sweep(rows, first, last_of, cols, width):
+        """Score rows over cols from ``first`` up to last_of(positions of the
+        rows still going), in rounds of doubling width; return where each
+        row stopped."""
+        reach = first.copy()
+        going = np.arange(len(rows))
+        while going.size:
+            last = last_of(going)
+            more = last > reach[going]
+            going, last = going[more], last[more]
+            end = np.minimum(last, reach[going] + width)
+            _score_bands(score, rows[going], reach[going], end, cols)
+            reach[going] = end
+            width = min(2 * width, _BLOCK_CELLS)
+        return reach
+
+    every_col = np.arange(len(ws.tf))
+    # sog >= 0, so a report faster than moving_speed_sum pairs as moving
+    slow = ws.sog <= ws.cfg.moving_speed_sum
+    steady_cols = np.flatnonzero(slow)
+    # _BLOCK_CELLS rows at a time, so the per-row bookkeeping stays bounded
+    for s in range(start, stop, _BLOCK_CELLS):
+        rows = np.arange(s, min(stop, s + _BLOCK_CELLS))
+        reach = sweep(rows, lo[rows], lambda at: _first_skipped(ws, rows[at], errors[rows[at]]),
+                      every_col, 1)
+        pick = slow[rows]
+        last = np.searchsorted(steady_cols, hi[rows][pick])
+        sweep(rows[pick], np.searchsorted(steady_cols, reach[pick]), lambda at: last[at],
+              steady_cols, _BLOCK_CELLS)
 
 
 def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
                 threads: int = 1) -> LinkSet:
-    """Run link selection for every report, a block of reports per pass.
+    """Run link selection for every report, many reports per numpy pass.
 
     Worker count only splits the index range; the result is identical for
     any value.
@@ -285,7 +354,7 @@ def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
     lo, hi = _window_bounds(ds.t, ds.t, cfg.window_s)
     n = len(ds)
     targets = np.full(n, -1, dtype=np.int64)
-    errors = np.full(n, np.nan, dtype=np.float64)
+    errors = np.full(n, np.inf, dtype=np.float64)
     modes = np.zeros(n, dtype=np.int8)
     if threads == 1 or n < 2 * threads:
         _fill_links(ws, lo, hi, targets, errors, modes, 0, n)
@@ -297,6 +366,7 @@ def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
                        for w in range(threads)]
             for f in futures:
                 f.result()
+    errors[targets < 0] = np.nan
     return LinkSet(targets=targets, errors=errors, modes=modes)
 
 

@@ -10,14 +10,9 @@ import numpy as np
 from .model import ClusterAssignment
 
 
-def correct_neighbor_rate(targets: Sequence[int | None] | np.ndarray,
-                          vids: Sequence[str]) -> float:
-    """Fraction of linked reports whose chosen next report shares their vid.
-
-    ``targets`` holds one entry per point: the linked point's index, or
-    None/-1 when the point has no outgoing link.  Unlinked points count in
-    neither the numerator nor the denominator.
-    """
+def _neighbor_hits(targets: Sequence[int | None] | np.ndarray,
+                   vids: Sequence[str]) -> tuple[int, int]:
+    """(linked reports whose next report shares their vid, linked reports)."""
     if len(targets) != len(vids):
         raise ValueError("targets and vids must align")
     hits = 0
@@ -31,6 +26,18 @@ def correct_neighbor_rate(targets: Sequence[int | None] | np.ndarray,
         linked += 1
         if vids[i] == vids[j]:
             hits += 1
+    return hits, linked
+
+
+def correct_neighbor_rate(targets: Sequence[int | None] | np.ndarray,
+                          vids: Sequence[str]) -> float:
+    """Fraction of linked reports whose chosen next report shares their vid.
+
+    ``targets`` holds one entry per point: the linked point's index, or
+    None/-1 when the point has no outgoing link.  Unlinked points count in
+    neither the numerator nor the denominator.
+    """
+    hits, linked = _neighbor_hits(targets, vids)
     if linked == 0:
         raise ValueError("no linked points to score")
     return hits / linked
@@ -68,9 +75,12 @@ def estimate_vessel_count(n_clusters: int, jumps: int, merges: int) -> int:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One run's quality summary; text and CSV renderings are stable."""
+    """One run's quality summary; text and CSV renderings are stable.
 
-    correct_neighbor_rate: float
+    ``correct_neighbor_rate`` is None when no link is left to score.
+    """
+
+    correct_neighbor_rate: float | None
     jumps: int
     merges: int
     n_clusters_predicted: int
@@ -82,7 +92,8 @@ class EvalReport:
                   "n_vessels_true,n_vessels_estimated,runtime_s")
 
     def __post_init__(self):
-        if not 0.0 <= self.correct_neighbor_rate <= 1.0:
+        rate = self.correct_neighbor_rate
+        if rate is not None and not 0.0 <= rate <= 1.0:
             raise ValueError("correct_neighbor_rate must be in [0, 1]")
         for name in ("jumps", "merges", "n_clusters_predicted",
                      "n_vessels_true", "n_vessels_estimated"):
@@ -94,9 +105,13 @@ class EvalReport:
                 f"n_vessels_estimated {self.n_vessels_estimated} does not match "
                 f"clusters + merges - jumps = {expected}")
 
+    def _rate_text(self) -> str:
+        rate = self.correct_neighbor_rate
+        return "undefined" if rate is None else f"{rate:.6f}"
+
     def to_text(self, include_runtime: bool = True) -> str:
         lines = [
-            f"correct_neighbor_rate = {self.correct_neighbor_rate:.6f}",
+            f"correct_neighbor_rate = {self._rate_text()}",
             f"jumps = {self.jumps}",
             f"merges = {self.merges}",
             f"n_clusters_predicted = {self.n_clusters_predicted}",
@@ -108,7 +123,7 @@ class EvalReport:
         return "\n".join(lines)
 
     def to_csv_row(self) -> str:
-        return (f"{self.correct_neighbor_rate:.6f},{self.jumps},{self.merges},"
+        return (f"{self._rate_text()},{self.jumps},{self.merges},"
                 f"{self.n_clusters_predicted},{self.n_vessels_true},"
                 f"{self.n_vessels_estimated},{self.runtime_s:.3f}")
 
@@ -134,8 +149,9 @@ def build_report(assignment: ClusterAssignment,
     """Assemble the full report for one reconstruction run."""
     jumps, merges = jumps_merges(assignment, vids)
     n_clusters = assignment.n_clusters
+    hits, linked = _neighbor_hits(targets, vids)
     return EvalReport(
-        correct_neighbor_rate=correct_neighbor_rate(targets, vids),
+        correct_neighbor_rate=hits / linked if linked else None,
         jumps=jumps,
         merges=merges,
         n_clusters_predicted=n_clusters,

@@ -96,6 +96,9 @@ class TrackDataset:
     epoch: str = ""
 
     def __post_init__(self):
+        # NaN fails this too; link selection relies on sog >= 0
+        if not np.all(self.sog >= 0.0):
+            raise ValueError("sog must be >= 0 and not NaN")
         for arr in (self.t, self.lat, self.lon, self.sog, self.cog):
             arr.setflags(write=False)
 

@@ -15,6 +15,7 @@ from trackstitch.cbtr import (
     select_bpnp,
     surviving_targets,
 )
+from trackstitch.kinematics import DEG_LAT_PER_KNOT_S
 from trackstitch.model import AisPoint, CbtrConfig, PairMode, TrackDataset
 from trackstitch.synth import SynthConfig, generate_fleet
 
@@ -137,16 +138,34 @@ def _moving_fleet():
                                       duration_s=1800, seed=64))
 
 
+def _dense_fleet():
+    # every report's window spans the whole fleet
+    return generate_fleet(SynthConfig(n_vessels=20, duration_s=600, seed=65))
+
+
 def _linked_modes(links):
     return set(links.modes[links.targets >= 0].tolist())
 
 
-# each fleet with the trait that makes it a block-boundary case
+def _time_bound_share(ds, links):
+    """Share of window cells whose moving time term, computed as the kernel
+    does, is at least their row's final error: cells that can be skipped."""
+    skippable = total = 0
+    for i in range(len(ds)):
+        dt = (ds.t[candidate_window(ds, i, CFG)] - ds.t[i]).astype(np.float64)
+        tt = CFG.time_weight_moving * dt
+        skippable += int(np.sum(tt * tt >= links.errors[i]))
+        total += dt.size
+    return skippable / total
+
+
+# each fleet with the trait that makes it a pass-boundary case
 BLOCK_FLEETS = {
     "tied": (_tied_fleet, lambda ds, links: bool(np.any(np.diff(ds.t) == 0))),
     "gapped": (_gapped_fleet, lambda ds, links: _has_mid_fleet_empty_window(ds)),
     "all-steady": (_steady_fleet, lambda ds, links: _linked_modes(links) == {2}),
     "all-moving": (_moving_fleet, lambda ds, links: _linked_modes(links) == {1}),
+    "dense": (_dense_fleet, lambda ds, links: _time_bound_share(ds, links) >= 0.5),
 }
 
 
@@ -169,6 +188,87 @@ def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
     assert np.array_equal(links.modes, default.modes)
     assert np.array_equal(links.errors, default.errors, equal_nan=True)
     _assert_links_match(links, expected)
+
+
+def test_build_links_matches_one_row_scans(block_fleet):
+    ds, links, _ = block_fleet
+    for i in range(len(ds)):
+        found = select_bpnp(ds, i, CFG)
+        if found is None:
+            assert (links.targets[i], links.modes[i]) == (-1, 0)
+            assert np.isnan(links.errors[i])
+        else:
+            assert links.targets[i] == found[0], f"point {i}"
+            assert links.errors[i:i + 1].view(np.int64) == np.float64(found[1]).view(np.int64)
+            assert links.modes[i] == (1 if found[2] is PairMode.MOVING else 2)
+
+
+# with a dyadic time weight and alpha 1, every step of the scores below is exact
+EXACT_CFG = CbtrConfig(time_weight_moving=2.0**-20)
+SCORE = 25 * 2.0**-40
+
+
+def _exact_track(offset_lat, later_dt, later_east):
+    """Report 0 heads due north, too fast to pair as steady, at a speed the
+    kernel turns into exactly 2**-16 degrees a second.  Report 1, 3 s on, is
+    2**-18 degrees east and ``offset_lat`` north of where dead reckoning puts
+    it; report 2, ``later_dt`` s on, is ``later_east`` degrees east of it.
+    Each score is its time term (dt * 2**-20)**2 plus its squared offsets."""
+    step = 2.0**-16
+    sog = step / DEG_LAT_PER_KNOT_S
+    assert sog * np.cos(0.0) * DEG_LAT_PER_KNOT_S == step and sog > CFG.moving_speed_sum
+    return TrackDataset(
+        t=np.array([0, 3, later_dt]),
+        lat=np.array([37.0, 37.0 + 3 * step + offset_lat, 37.0 + later_dt * step]),
+        lon=np.array([-76.0, -76.0 + 2.0**-18, -76.0 + later_east]),
+        sog=np.full(3, sog), cog=np.zeros(3), vids=None, alpha=1.0)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 16384])
+@pytest.mark.parametrize("offset_lat, later_dt, later_east, winner", [
+    # report 2 scores its time term, one ulp below report 1's score
+    (2.0**-44, 5, 0.0, 2),
+    # report 2 scores its time term, equal to report 1's score
+    (0.0, 5, 0.0, 1),
+    # report 2's time term is below report 1's score, its score equal to it
+    (0.0, 4, 3 * 2.0**-20, 1),
+], ids=["bound-one-ulp-below", "bound-equal", "score-equal"])
+def test_time_bound_boundary(offset_lat, later_dt, later_east, winner, cells, monkeypatch):
+    ds = _exact_track(offset_lat, later_dt, later_east)
+
+    def alone(k):
+        return replace(ds, **{f: getattr(ds, f)[[0, k]]
+                              for f in ("t", "lat", "lon", "sog", "cog")})
+
+    assert select_bpnp(alone(1), 0, EXACT_CFG)[1] == (np.nextafter(SCORE, 1.0) if offset_lat
+                                                      else SCORE)
+    assert select_bpnp(alone(2), 0, EXACT_CFG)[1] == SCORE
+    assert select_bpnp(ds, 0, EXACT_CFG) == (winner, SCORE, PairMode.MOVING)
+    monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+    links = build_links(ds, EXACT_CFG)
+    assert (links.targets[0], links.errors[0], links.modes[0]) == (winner, SCORE, 1)
+
+
+def _late_link_points(with_link):
+    """Report 0 heads north at 10 kn.  The reports after it lie astern, which
+    the heading gate rejects, except (``with_link``) one dead ahead at the
+    far edge of report 0's window."""
+    pts = [AisPoint(0, 37.0, -76.0, 10.0, 0.0)]
+    pts += [AisPoint(t, 36.99, -76.0, 0.0, 0.0) for t in range(10, CFG.window_s, 10)]
+    if with_link:
+        lat, lon = reference.advance(37.0, -76.0, 10.0, 0.0, CFG.window_s)
+        pts.append(AisPoint(CFG.window_s, lat, lon, 10.0, 0.0))
+    return pts
+
+
+@pytest.mark.parametrize("cells", [1, 7, 16384])
+@pytest.mark.parametrize("with_link", [True, False])
+def test_row_without_link_is_scanned_to_its_window_end(with_link, cells, monkeypatch):
+    ds = TrackDataset.from_points(_late_link_points(with_link))
+    monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+    links = build_links(ds, CFG)
+    _assert_links_match(links, reference.link_all(reference.pts_of(ds), ds.alpha, CFG))
+    assert links.targets[0] == (len(ds) - 1 if with_link else -1)
 
 
 def test_masked_duplicates_raise_no_warnings():

@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+import reference
 from trackstitch.cli import main
 from trackstitch.ingest import parse_ais_csv, write_ais_csv
 from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
@@ -200,6 +201,27 @@ def test_classify_before_history_prints_one_short_error(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith(f"error: no labeled history for {len(lines) - len(late)} test points: ")
     assert len(err[0]) < 200
+
+
+def test_cluster_tiny_track_reports_undefined_rate(tmp_path, capsys):
+    # five reports of one vessel: every link lands in the worst n_abnormal
+    # and none is rescued, so no link is left to score
+    points, lat, lon = [], 37.0, -76.0
+    for k in range(5):
+        points.append(AisPoint(120 * k, lat, lon, 10.0, 90.0, "A"))
+        lat, lon = reference.advance(lat, lon, 10.0, 90.0, 120)
+    tiny = tmp_path / "tiny.csv"
+    write_ais_csv(TrackDataset.from_points(points), str(tiny))
+    outdir = tmp_path / "run"
+    assert main(["cluster", str(tiny), "--out", str(outdir)]) == 0
+    assert "correct_neighbor_rate = undefined\n" in capsys.readouterr().out
+    for name in OUT_FILES:
+        assert (outdir / name).exists(), name
+    manifest = (outdir / "manifest.txt").read_text()
+    assert "correct_neighbor_rate = undefined\n" in manifest
+    assert "n_clusters_predicted = 5\n" in manifest
+    assert main(["eval", str(outdir / "assignment.csv"), str(tiny), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("undefined,4,0,5,1,1,")
 
 
 def test_downsample_flow(fleet_csv, tmp_path, capsys):

@@ -131,3 +131,10 @@ def test_build_report_assembles_everything():
     assert report.runtime_s == 2.0
     # chain links: 1->2 crosses vessels, 2->3 stays, so 1 of 2 linked misses
     assert report.correct_neighbor_rate == pytest.approx(0.5)
+
+
+def test_build_report_without_links_leaves_rate_undefined():
+    report = build_report(_assignment([0, 1]), [None, -1], ["a", "a"], runtime_s=0.0)
+    assert report.correct_neighbor_rate is None
+    assert report.to_text().startswith("correct_neighbor_rate = undefined\n")
+    assert report.to_csv_row().startswith("undefined,1,0,2,1,1,")

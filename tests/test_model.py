@@ -96,6 +96,13 @@ def test_dataset_vids_all_or_none():
     assert unlabeled.vids is None
 
 
+@pytest.mark.parametrize("sog", [-0.5, math.nan])
+def test_dataset_rejects_bad_sog(sog):
+    ds = TrackDataset.from_points(_points())
+    with pytest.raises(ValueError, match="sog"):
+        replace(ds, sog=np.array([4.0, sog, 6.0]))
+
+
 def test_dataset_rejects_empty():
     with pytest.raises(ValueError):
         TrackDataset.from_points([])
