@@ -381,7 +381,7 @@ def detect_abnormal(ds: TrackDataset, links: LinkSet,
     """
     cfg = cfg or CbtrConfig()
     targets = links.targets
-    no_bpnp = frozenset(int(i) for i in np.nonzero(targets < 0)[0])
+    no_bpnp = frozenset(np.nonzero(targets < 0)[0].tolist())
     linked = links.linked_indices()
     if linked.size and cfg.n_abnormal > 0:
         dt = ds.t[targets[linked]].astype(np.float64) - ds.t[linked]
@@ -410,15 +410,15 @@ def detect_abnormal(ds: TrackDataset, links: LinkSet,
 def surviving_targets(links: LinkSet, report: AbnormalReport) -> np.ndarray:
     """Link targets with severed points cleared to -1."""
     targets = links.targets.copy()
-    for i in report.abnormal:
-        targets[i] = -1
+    targets[np.fromiter(report.abnormal, dtype=np.int64)] = -1
     return targets
 
 
 def assemble_clusters(links: LinkSet, report: AbnormalReport) -> ClusterAssignment:
     """Connected components of the surviving links, labeled by components_of."""
     cluster_of = components_of(surviving_targets(links, report))
-    severed = frozenset(i for i in report.abnormal if int(links.targets[i]) >= 0)
+    abnormal = np.fromiter(report.abnormal, dtype=np.int64)
+    severed = frozenset(abnormal[links.targets[abnormal] >= 0].tolist())
     return ClusterAssignment(cluster_of=cluster_of,
                              endpoints=severed | report.no_bpnp,
                              abnormal=severed)
@@ -428,34 +428,30 @@ def components_of(targets: np.ndarray) -> np.ndarray:
     """Component label per report of the links i -> targets[i] (-1: no link).
 
     Labels run 0..k-1 in the order of each component's earliest report, so
-    they do not depend on the order the links are joined in.
+    they do not depend on the order the links are followed in.
+
+    A report without a link points at itself, so every report has exactly
+    one successor and each component holds exactly one cycle (a lone sink
+    is a cycle of one).  Pointer doubling follows 2**k links at once while
+    keeping the smallest index passed.  After ceil(log2 n) doublings every
+    report has reached its component's cycle, and the running minimum from
+    any point on that cycle has gone all the way round it, so it is the
+    smallest index on the cycle: one name per component.  This holds for
+    cbtr's forward links and npc's cyclic ones alike.
     """
     n = len(targets)
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for i in range(n):
-        j = int(targets[i])
-        if j >= 0:
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                if size[ra] < size[rb]:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                size[ra] += size[rb]
-    cluster_of = np.empty(n, dtype=np.int64)
-    label_of_root: dict[int, int] = {}
-    for i in range(n):
-        cluster_of[i] = label_of_root.setdefault(find(i), len(label_of_root))
-    return cluster_of
+    index = np.arange(n)
+    nxt = np.where(targets >= 0, targets, index)
+    low = index.copy()
+    for _ in range(max(n - 1, 0).bit_length()):
+        np.minimum(low, low[nxt], out=low)
+        nxt = nxt[nxt]
+    root = low[nxt]
+    # label each component where its earliest report sits
+    earliest = np.full(n, n)
+    np.minimum.at(earliest, root, index)
+    first = earliest[root] == index
+    return (np.cumsum(first) - 1)[earliest[root]]
 
 
 def run_cbtr(ds: TrackDataset, cfg: CbtrConfig | None = None,

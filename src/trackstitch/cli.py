@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -19,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .cbtr import run_cbtr, surviving_targets
-from .export import export_geojson, export_label_timeline
+from .export import coordinate_text, export_geojson, export_label_timeline
 from .ingest import IngestError, parse_ais_csv, write_ais_csv
 from .metrics import EvalReport, build_report, successor_targets
-from .model import CbtrConfig, ClusterAssignment, TrackDataset
+from .model import CbtrConfig, ClusterAssignment, TrackDataset, index_mask
 from .npc import NpcConfig, npc_classify, npc_cluster, npc_grouping_targets
 from .synth import (
     ARCHETYPES,
@@ -93,14 +92,14 @@ def _add_npc_flags(parser: argparse.ArgumentParser) -> None:
                         default=defaults.cog_weight)
 
 
-def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment) -> str:
-    lines = ["index,t,lat,lon,cluster,endpoint,abnormal"]
-    for i in range(len(ds)):
-        lines.append(
-            f"{i},{int(ds.t[i])},{float(ds.lat[i])!r},{float(ds.lon[i])!r},"
-            f"{int(assignment.cluster_of[i])},{int(i in assignment.endpoints)},"
-            f"{int(i in assignment.abnormal)}")
-    return "\n".join(lines) + "\n"
+def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment,
+                    coords: tuple[list[str], list[str]]) -> str:
+    """One row per report; ``coords`` is coordinate_text(ds)."""
+    n = len(ds)
+    flags = (index_mask(n, assignment.endpoints), index_mask(n, assignment.abnormal))
+    rows = map("{},{},{},{},{},{},{}\n".format, range(n), ds.t.tolist(), *coords,
+               assignment.cluster_of.tolist(), *(f.view(np.uint8).tolist() for f in flags))
+    return "index,t,lat,lon,cluster,endpoint,abnormal\n" + "".join(rows)
 
 
 def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
@@ -159,9 +158,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "assignment.csv", _assignment_csv(ds, assignment))
-    _write_text(out / "tracks.geojson",
-                json.dumps(export_geojson(ds, assignment), indent=2) + "\n")
+    coords = coordinate_text(ds)
+    _write_text(out / "assignment.csv", _assignment_csv(ds, assignment, coords))
+    _write_text(out / "tracks.geojson", export_geojson(ds, assignment, coords) + "\n")
     _write_text(out / "timeline.svg", export_label_timeline(ds, assignment))
     _write_text(out / "manifest.txt",
                 _manifest_text(f"cluster --algo {args.algo}", asdict(cfg),

@@ -1,37 +1,88 @@
-"""Render cluster assignments as GeoJSON tracks and an SVG label timeline."""
+"""Render cluster assignments as GeoJSON tracks and an SVG label timeline.
+
+Both writers work by column: reports are grouped by a stable sort of their
+cluster (or vessel) label, so each group's members stay in time order.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ClusterAssignment, TrackDataset
+from .model import ClusterAssignment, TrackDataset, index_mask, label_codes
 
 
-def export_geojson(ds: TrackDataset, assignment: ClusterAssignment) -> dict:
-    """One LineString feature per cluster, points in time order.
+def coordinate_text(ds: TrackDataset) -> tuple[list[str], list[str]]:
+    """Every lat and lon as float.__repr__ writes it, the form json and the
+    assignment CSV share."""
+    return list(map(repr, ds.lat.tolist())), list(map(repr, ds.lon.tolist()))
+
+
+def _groups(labels: np.ndarray, n_groups: int) -> tuple[np.ndarray, list[int]]:
+    """Indices sorted by label, ties in index order, and where each label's
+    run starts in them (n_groups + 1 bounds)."""
+    return np.argsort(labels, kind="stable"), _bounds(labels, n_groups)
+
+
+def _bounds(labels: np.ndarray, n_groups: int) -> list[int]:
+    return [0, *np.cumsum(np.bincount(labels, minlength=n_groups)).tolist()]
+
+
+# json.dumps(..., indent=2) layout of the fixed FeatureCollection schema
+_POINT = "          [\n            {},\n            {}\n          ]"
+_ENDPOINT = "          {}"
+_FEATURE = ('    {{\n      "type": "Feature",\n      "geometry": {{\n'
+            '        "type": "LineString",\n        "coordinates": {}\n      }},\n'
+            '      "properties": {{\n        "cluster_id": {},\n        "point_count": {},\n'
+            '        "endpoints": {}\n      }}\n    }}')
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A json list whose items are already rendered one level below indent."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def export_geojson(ds: TrackDataset, assignment: ClusterAssignment,
+                   coords: tuple[list[str], list[str]] | None = None) -> str:
+    """One LineString feature per cluster, points in time order, as GeoJSON text.
 
     A single-report cluster repeats its coordinate so the geometry stays a
     valid LineString.  Feature properties carry the cluster id, its size,
-    and which of its points are flagged as track ends.
+    and which of its points are flagged as track ends.  The text is exactly
+    what ``json.dumps(..., indent=2)`` writes for the same document, without
+    a trailing newline.  ``coords`` is ``coordinate_text(ds)``, for a caller
+    that already has it.
     """
     if len(ds) != len(assignment):
         raise ValueError("dataset and assignment must align")
+    lat_text, lon_text = coords or coordinate_text(ds)
+    order, bounds = _groups(assignment.cluster_of, assignment.n_clusters)
+    members = order.tolist()
+    points = list(map(_POINT.format, map(lon_text.__getitem__, members),
+                      map(lat_text.__getitem__, members)))
+    ends = order[index_mask(len(ds), assignment.endpoints)[order]]
+    end_bounds = _bounds(assignment.cluster_of[ends], assignment.n_clusters)
+    end_text = list(map(_ENDPOINT.format, ends.tolist()))
     features = []
     for cid in range(assignment.n_clusters):
-        idx = np.nonzero(assignment.cluster_of == cid)[0]
-        coords = [[float(ds.lon[i]), float(ds.lat[i])] for i in idx]
-        if len(coords) == 1:
-            coords = [coords[0], list(coords[0])]
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "LineString", "coordinates": coords},
-            "properties": {
-                "cluster_id": cid,
-                "point_count": int(idx.size),
-                "endpoints": [int(i) for i in idx if int(i) in assignment.endpoints],
-            },
-        })
-    return {"type": "FeatureCollection", "features": features}
+        a, b = bounds[cid], bounds[cid + 1]
+        track = points[a:b] * 2 if b - a == 1 else points[a:b]
+        features.append(_FEATURE.format(
+            _json_list(track, " " * 8), cid, b - a,
+            _json_list(end_text[end_bounds[cid]:end_bounds[cid + 1]], " " * 8)))
+    return ('{\n  "type": "FeatureCollection",\n  "features": '
+            + _json_list(features, "  ") + "\n}")
+
+
+def _extents(t: np.ndarray, labels: np.ndarray, n_groups: int) -> tuple[list[int], list[int]]:
+    """First and last report time of each label."""
+    order, bounds = _groups(labels, n_groups)
+    if len(set(bounds)) != len(bounds):
+        raise ValueError("every label needs at least one report")
+    if not n_groups:
+        return [], []
+    ts, starts = t[order], bounds[:-1]
+    return (np.minimum.reduceat(ts, starts).tolist(),
+            np.maximum.reduceat(ts, starts).tolist())
 
 
 _SVG_STYLE = (
@@ -55,26 +106,11 @@ def export_label_timeline(ds: TrackDataset, assignment: ClusterAssignment) -> st
 
     truth_rows: list[tuple[str, int, int]] = []
     if ds.has_vids():
-        seen: dict[str, int] = {}
-        spans: list[list[int]] = []
-        order: list[str] = []
-        for i, label in enumerate(ds.vids):
-            if label not in seen:
-                seen[label] = len(spans)
-                spans.append([int(ds.t[i]), int(ds.t[i])])
-                order.append(label)
-            else:
-                span = spans[seen[label]]
-                span[0] = min(span[0], int(ds.t[i]))
-                span[1] = max(span[1], int(ds.t[i]))
-        truth_rows = [(label, spans[seen[label]][0], spans[seen[label]][1])
-                      for label in order]
-
-    cluster_rows: list[tuple[str, int, int]] = []
-    for cid in range(assignment.n_clusters):
-        idx = np.nonzero(assignment.cluster_of == cid)[0]
-        ts = ds.t[idx]
-        cluster_rows.append((f"c{cid}", int(ts.min()), int(ts.max())))
+        labels, codes = label_codes(ds.vids)
+        truth_rows = list(zip(labels, *_extents(ds.t, codes, len(labels))))
+    n_clusters = assignment.n_clusters
+    cluster_rows = list(zip((f"c{cid}" for cid in range(n_clusters)),
+                            *_extents(ds.t, assignment.cluster_of, n_clusters)))
 
     left, right = 90.0, 790.0
     row_h = 14

@@ -6,19 +6,32 @@ this order: an optional leading ``vid``, then ``timestamp``, ``lat``,
 ISO-8601 datetimes (naive values are taken as UTC).  On parse, times are
 shifted so the earliest report sits at t=0, and the dataset's ``epoch`` holds
 that report's unix time in integer seconds.
+
+Parsing runs by column: one ``np.loadtxt`` pass splits the rows and converts
+the four float columns, and numpy masks check their ranges.  Only when that
+pass fails does a per-line scan run, to name the first line that breaks the
+format.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import warnings
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import TextIO, Union
 
-from .model import AisPoint, TrackDataset
+import numpy as np
+
+from .model import TrackDataset, first_bad_report, latitude_scale
 
 REQUIRED_COLUMNS = ("timestamp", "lat", "lon", "sog", "cog")
+
+# integer seconds must lie strictly inside +-2**62, so that the difference of
+# any two fits in an int64
+_SECONDS_LIMIT = 2 ** 62
 
 Source = Union[str, Path, TextIO]
 
@@ -27,38 +40,106 @@ class IngestError(ValueError):
     """Malformed header or row; the message names the offending line."""
 
 
-def _read_text(source: Source) -> str:
+def _open_text(source: Source) -> TextIO:
+    """A seekable text handle on the source, past any UTF-8 byte-order mark."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    return source.read()
+        return open(source, encoding="utf-8-sig")
+    # newline=None translates line ends as reading a path does
+    return io.StringIO(source.read().removeprefix("\ufeff"), newline=None)
 
 
-def _parse_timestamp(raw: str, line: int) -> int:
-    """Unix time in integer seconds."""
+def _parse_timestamp(raw: str) -> int:
+    """Unix time in integer seconds; ValueError names the stripped text."""
+    raw = raw.strip()
     try:
-        return int(raw)
+        seconds = int(raw)
     except ValueError:
-        pass
+        try:
+            stamp = datetime.fromisoformat(raw)
+        except ValueError:
+            raise ValueError(f"bad timestamp {raw!r}") from None
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        seconds = int(stamp.timestamp())
+    if not -_SECONDS_LIMIT < seconds < _SECONDS_LIMIT:
+        raise ValueError(f"bad timestamp {raw!r}")
+    return seconds
+
+
+def _parse_number(raw: str) -> float:
+    """float(), restricted to the syntax numpy's text reader takes: ASCII
+    between any surrounding whitespace, and no ``_`` digit separators."""
+    value = float(raw)
+    if "_" in raw or not raw.strip().isascii():
+        raise ValueError(f"could not convert string to float: {raw!r}")
+    return value
+
+
+def _timestamps(raw: np.ndarray) -> np.ndarray:
+    """Integer seconds of a column of timestamp strings."""
     try:
-        stamp = datetime.fromisoformat(raw)
-    except ValueError:
-        raise IngestError(f"line {line}: bad timestamp {raw!r}") from None
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
+        seconds = np.fromiter(map(int, raw), dtype=np.int64, count=len(raw))
+        if np.all((seconds > -_SECONDS_LIMIT) & (seconds < _SECONDS_LIMIT)):
+            return seconds
+    except (ValueError, OverflowError):
+        pass  # ISO text, or a value past the limit, which _parse_timestamp names
+    return np.fromiter(map(_parse_timestamp, raw), dtype=np.int64, count=len(raw))
+
+
+def _data_lines(handle: TextIO):
+    """(line number, fields) of each non-blank record after the header."""
+    handle.seek(0)
+    rows = enumerate(csv.reader(handle), start=1)
+    next(rows)
+    return ((line, row) for line, row in rows if row)
+
+
+def _first_format_error(handle: TextIO, labeled: bool, fallback: Exception) -> IngestError:
+    """The first line breaking the row format, checked as the rows are read:
+    field count, then vid, timestamp and floats."""
+    expected = 6 if labeled else 5
+    for line, row in _data_lines(handle):
+        if len(row) != expected:
+            return IngestError(f"line {line}: expected {expected} fields, got {len(row)}")
+        if labeled and not row[0]:
+            return IngestError(f"line {line}: empty vid")
+        try:
+            _parse_timestamp(row[int(labeled)])
+            for raw in row[int(labeled) + 1:]:
+                _parse_number(raw)
+        except ValueError as exc:
+            return IngestError(f"line {line}: {exc}")
+    return IngestError(f"unreadable CSV: {fallback}")
+
+
+def _column_dtype(labeled: bool) -> np.dtype:
+    text_fields = (("vid", object),) if labeled else ()
+    return np.dtype([*text_fields, ("timestamp", object),
+                     *((name, np.float64) for name in REQUIRED_COLUMNS[1:])])
 
 
 def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDataset:
     """Parse a CSV of position reports into a TrackDataset.
 
     ``has_labels`` forces the presence (True) or absence (False) of the vid
-    column; None accepts either, keyed off the header.
+    column; None accepts either, keyed off the header.  A UTF-8 byte-order
+    mark before the header is skipped.
     """
-    text = _read_text(source)
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    with _open_text(source) as handle:
+        try:
+            return _parse(handle, has_labels)
+        except UnicodeDecodeError:
+            # name the bad byte's offset in the whole file, not in the chunk
+            # the handle decoded last
+            Path(source).read_text(encoding="utf-8-sig")
+            raise
+
+
+def _parse(handle: TextIO, has_labels: bool | None) -> TrackDataset:
+    first = handle.readline()
+    if not first:
         raise IngestError("empty input")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in next(csv.reader([first]))]
     if header == list(("vid",) + REQUIRED_COLUMNS):
         labeled = True
     elif header == list(REQUIRED_COLUMNS):
@@ -71,40 +152,41 @@ def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDatase
     if has_labels is False and labeled:
         raise IngestError("line 1: unexpected vid column")
 
-    raw_t: list[int] = []
-    records: list[tuple[float, float, float, float, str | None]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        expected = 6 if labeled else 5
-        if len(row) != expected:
-            raise IngestError(f"line {line_no}: expected {expected} fields, got {len(row)}")
-        vid = row[0] if labeled else None
-        if labeled and not vid:
-            raise IngestError(f"line {line_no}: empty vid")
-        offset = 1 if labeled else 0
-        seconds = _parse_timestamp(row[offset].strip(), line_no)
-        try:
-            lat = float(row[offset + 1])
-            lon = float(row[offset + 2])
-            sog = float(row[offset + 3])
-            cog = float(row[offset + 4])
-        except ValueError as exc:
-            raise IngestError(f"line {line_no}: {exc}") from None
-        raw_t.append(seconds)
-        records.append((lat, lon, sog, cog, vid))
-
-    if not records:
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns about blank lines and about input without rows
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(handle, dtype=_column_dtype(labeled), delimiter=",",
+                               quotechar='"', comments=None, ndmin=1)
+        if labeled and np.any(table["vid"] == ""):
+            raise ValueError("empty vid")
+        raw_t = _timestamps(table["timestamp"])
+    except ValueError as exc:
+        raise _first_format_error(handle, labeled, exc) from None
+    if not len(table):
         raise IngestError("no data rows")
-    t0 = min(raw_t)
-    points = []
-    for line_no, (seconds, rec) in enumerate(zip(raw_t, records), start=2):
-        lat, lon, sog, cog, vid = rec
-        try:
-            points.append(AisPoint(seconds - t0, lat, lon, sog, cog, vid))
-        except ValueError as exc:
-            raise IngestError(f"line {line_no}: {exc}") from None
-    return TrackDataset.from_points(points, epoch=str(t0))
+
+    columns = [table[name] for name in REQUIRED_COLUMNS[1:]]
+    bad = first_bad_report(*columns)
+    if bad is not None:
+        index, message = bad
+        line, _ = next(islice(_data_lines(handle), index, None))
+        raise IngestError(f"line {line}: {message}")
+
+    order = np.argsort(raw_t, kind="stable")
+    t0 = int(raw_t[order[0]])
+    lat, lon, sog, cog = (values[order] for values in columns)
+    vids = tuple(table["vid"][order].tolist()) if labeled else None
+    return TrackDataset(t=raw_t[order] - t0, lat=lat, lon=lon, sog=sog, cog=cog,
+                        vids=vids, alpha=latitude_scale(lat.tolist()), epoch=str(t0))
+
+
+def _csv_field(value: str) -> str:
+    """``value`` as csv.writer writes it inside a row: quoted only when it
+    holds a comma, a quote or a line break."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
+    return buffer.getvalue()[:-2]
 
 
 def write_ais_csv(ds: TrackDataset, dest: Union[str, Path, TextIO]) -> None:
@@ -113,19 +195,19 @@ def write_ais_csv(ds: TrackDataset, dest: Union[str, Path, TextIO]) -> None:
     Floats are written with shortest round-trip formatting, so a
     parse -> write -> parse cycle reproduces the fields exactly.
     """
+    columns = [map(str, ds.t.tolist())]
+    columns += [map(repr, values.tolist()) for values in (ds.lat, ds.lon, ds.sog, ds.cog)]
+    header = ",".join(REQUIRED_COLUMNS)
+    if ds.has_vids():
+        quoted = {vid: _csv_field(vid) for vid in set(ds.vids)}
+        columns.insert(0, map(quoted.__getitem__, ds.vids))
+        header = "vid," + header
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    text = header + "\n" + "".join(map(row.format, *columns))
     own = isinstance(dest, (str, Path))
     handle = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        labeled = ds.has_vids()
-        header = (("vid",) if labeled else ()) + REQUIRED_COLUMNS
-        writer.writerow(header)
-        for i in range(len(ds)):
-            row = [str(int(ds.t[i])), repr(float(ds.lat[i])), repr(float(ds.lon[i])),
-                   repr(float(ds.sog[i])), repr(float(ds.cog[i]))]
-            if labeled:
-                row.insert(0, ds.vids[i])
-            writer.writerow(row)
+        handle.write(text)
     finally:
         if own:
             handle.close()

@@ -7,26 +7,36 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ClusterAssignment
+from .model import ClusterAssignment, label_codes
+
+
+def _vessel_codes(vids: Sequence[str | None]) -> tuple[np.ndarray, int]:
+    """Each report's vessel as a code, and the code standing for a missing
+    vid (-1 when every report has one)."""
+    labels, codes = label_codes(vids)
+    return codes, labels.index(None) if None in labels else -1
+
+
+def _target_array(targets: Sequence[int | None] | np.ndarray) -> np.ndarray:
+    if isinstance(targets, np.ndarray):
+        return targets
+    return np.array([-1 if j is None else j for j in targets], dtype=np.int64)
 
 
 def _neighbor_hits(targets: Sequence[int | None] | np.ndarray,
-                   vids: Sequence[str]) -> tuple[int, int]:
+                   codes: np.ndarray, missing: int) -> tuple[int, int]:
     """(linked reports whose next report shares their vid, linked reports)."""
-    if len(targets) != len(vids):
+    if len(targets) != len(codes):
         raise ValueError("targets and vids must align")
-    hits = 0
-    linked = 0
-    for i, target in enumerate(targets):
-        j = -1 if target is None else int(target)
-        if j < 0:
-            continue
-        if vids[i] is None or vids[j] is None:
-            raise ValueError(f"point {i if vids[i] is None else j} has no vid")
-        linked += 1
-        if vids[i] == vids[j]:
-            hits += 1
-    return hits, linked
+    targets = _target_array(targets)
+    src = np.nonzero(targets >= 0)[0]
+    src_codes, dst_codes = codes[src], codes[targets[src]]
+    unknown = (src_codes == missing) | (dst_codes == missing)
+    if unknown.any():
+        k = int(np.argmax(unknown))
+        point = src[k] if src_codes[k] == missing else targets[src[k]]
+        raise ValueError(f"point {point} has no vid")
+    return int(np.count_nonzero(src_codes == dst_codes)), len(src)
 
 
 def correct_neighbor_rate(targets: Sequence[int | None] | np.ndarray,
@@ -37,10 +47,23 @@ def correct_neighbor_rate(targets: Sequence[int | None] | np.ndarray,
     None/-1 when the point has no outgoing link.  Unlinked points count in
     neither the numerator nor the denominator.
     """
-    hits, linked = _neighbor_hits(targets, vids)
+    hits, linked = _neighbor_hits(targets, *_vessel_codes(vids))
     if linked == 0:
         raise ValueError("no linked points to score")
     return hits / linked
+
+
+def _jumps_merges(assignment: ClusterAssignment, codes: np.ndarray,
+                  missing: int) -> tuple[int, int]:
+    if len(assignment) != len(codes):
+        raise ValueError("assignment and vids must align")
+    if len(codes) == 0:
+        raise ValueError("empty truth")
+    if missing >= 0:
+        raise ValueError(f"point {int(np.argmax(codes == missing))} has no vid")
+    cluster_of = assignment.cluster_of
+    pairs = np.unique(codes * (int(cluster_of.max()) + 1) + cluster_of).size
+    return (pairs - int(codes.max()) - 1, pairs - np.unique(cluster_of).size)
 
 
 def jumps_merges(assignment: ClusterAssignment, vids: Sequence[str]) -> tuple[int, int]:
@@ -50,18 +73,7 @@ def jumps_merges(assignment: ClusterAssignment, vids: Sequence[str]) -> tuple[in
     v vessels contributes v-1 merges.  Summed, each count is the number of
     distinct (vessel, cluster) pairs minus the number of vessels or clusters.
     """
-    if len(assignment) != len(vids):
-        raise ValueError("assignment and vids must align")
-    if len(vids) == 0:
-        raise ValueError("empty truth")
-    pairs: set[tuple[str, int]] = set()
-    for i, (vid, cid) in enumerate(zip(vids, assignment.cluster_of.tolist())):
-        if vid is None:
-            raise ValueError(f"point {i} has no vid")
-        pairs.add((vid, cid))
-    jumps = len(pairs) - len({vid for vid, _ in pairs})
-    merges = len(pairs) - len({cid for _, cid in pairs})
-    return jumps, merges
+    return _jumps_merges(assignment, *_vessel_codes(vids))
 
 
 def estimate_vessel_count(n_clusters: int, jumps: int, merges: int) -> int:
@@ -147,15 +159,16 @@ def build_report(assignment: ClusterAssignment,
                  targets: Sequence[int | None] | np.ndarray,
                  vids: Sequence[str], runtime_s: float) -> EvalReport:
     """Assemble the full report for one reconstruction run."""
-    jumps, merges = jumps_merges(assignment, vids)
+    codes, missing = _vessel_codes(vids)
+    jumps, merges = _jumps_merges(assignment, codes, missing)
     n_clusters = assignment.n_clusters
-    hits, linked = _neighbor_hits(targets, vids)
+    hits, linked = _neighbor_hits(targets, codes, missing)
     return EvalReport(
         correct_neighbor_rate=hits / linked if linked else None,
         jumps=jumps,
         merges=merges,
         n_clusters_predicted=n_clusters,
-        n_vessels_true=len(set(vids)),
+        n_vessels_true=int(codes.max()) + 1,
         n_vessels_estimated=estimate_vessel_count(n_clusters, jumps, merges),
         runtime_s=runtime_s,
     )

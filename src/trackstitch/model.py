@@ -77,6 +77,45 @@ def latitude_scale(lats: Iterable[float]) -> float:
     return 69.0 / (69.172 * cos_lat)
 
 
+def label_codes(labels: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct labels in order of first appearance, and each entry's
+    position among them."""
+    distinct = list(dict.fromkeys(labels))
+    position = {label: k for k, label in enumerate(distinct)}
+    return distinct, np.fromiter(map(position.__getitem__, labels), dtype=np.int64,
+                                 count=len(labels))
+
+
+def index_mask(n: int, indices: Iterable[int]) -> np.ndarray:
+    """Boolean array of length n, True at the given indices."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(indices, dtype=np.int64)] = True
+    return mask
+
+
+def first_bad_report(lat: np.ndarray, lon: np.ndarray, sog: np.ndarray,
+                     cog: np.ndarray) -> tuple[int, str] | None:
+    """Index and message of the first report holding a value out of range.
+
+    Reports are taken in array order; within one, lat is checked before
+    lon, sog and cog.  NaN fails every check.  Link selection relies on a
+    finite, non-negative sog and finite positions and courses.
+    """
+    checks = (
+        (lat, ~((lat >= -90.0) & (lat <= 90.0)), "lat out of range: {}"),
+        (lon, ~((lon >= -180.0) & (lon <= 180.0)), "lon out of range: {}"),
+        (sog, ~(sog >= 0.0), "sog must be >= 0, got {}"),
+        (sog, sog == np.inf, "sog must be finite, got {}"),
+        (cog, ~((cog >= 0.0) & (cog < 360.0)), "cog must be in [0, 360), got {}"),
+    )
+    bad = np.logical_or.reduce([mask for _, mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    values, _, message = next(check for check in checks if check[1][i])
+    return i, message.format(float(values[i]))
+
+
 @dataclass(frozen=True)
 class TrackDataset:
     """A time-sorted point set stored as parallel column arrays.
@@ -96,9 +135,9 @@ class TrackDataset:
     epoch: str = ""
 
     def __post_init__(self):
-        # NaN fails this too; link selection relies on sog >= 0
-        if not np.all(self.sog >= 0.0):
-            raise ValueError("sog must be >= 0 and not NaN")
+        bad = first_bad_report(self.lat, self.lon, self.sog, self.cog)
+        if bad is not None:
+            raise ValueError(f"report {bad[0]}: {bad[1]}")
         for arr in (self.t, self.lat, self.lon, self.sog, self.cog):
             arr.setflags(write=False)
 
@@ -117,7 +156,7 @@ class TrackDataset:
         if any(with_vid) and not all(with_vid):
             raise ValueError("either every point carries a vid or none does")
         vids = tuple(points[i].vid for i in order) if all(with_vid) else None
-        alpha = latitude_scale(lat)
+        alpha = latitude_scale(lat.tolist())
         return cls(t=t, lat=lat, lon=lon, sog=sog, cog=cog, vids=vids,
                    alpha=alpha, epoch=epoch)
 

@@ -384,6 +384,41 @@ def test_union_find_components_match_search():
         assert list(got) == expected
 
 
+def _random_graph(rng, n, kind):
+    if kind == "any":  # npc-like: links point anywhere, cycles included
+        return rng.integers(-1, n, n)
+    if kind == "cyclic":  # every report linked: one cycle per component
+        return rng.integers(0, n, n)
+    # cbtr-like: links only point forward in time
+    ahead = np.array([int(rng.integers(i + 1, n + 1)) for i in range(n)])
+    return np.where((ahead < n) & (rng.random(n) < 0.8), ahead, -1)
+
+
+@pytest.mark.parametrize("kind", ["any", "cyclic", "forward"])
+def test_components_match_search_on_many_graphs(kind):
+    rng = np.random.default_rng({"any": 11, "cyclic": 12, "forward": 13}[kind])
+    for _ in range(1000):
+        n = int(rng.integers(1, 70))
+        targets = _random_graph(rng, n, kind)
+        ref_links = [(int(j), 0.0, "moving") if j >= 0 and j != i else None
+                     for i, j in enumerate(targets)]
+        got = components_of(targets.astype(np.int64))
+        assert got.tolist() == reference.partition(list(range(n)), ref_links, set())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65, 1000])
+def test_components_of_longest_paths(n):
+    # a chain walked backward and one cycle through every report take the
+    # most doublings to settle
+    backward = np.arange(-1, n - 1)
+    assert components_of(backward).tolist() == [0] * n
+    cycle = np.roll(np.arange(n), 1)
+    assert components_of(cycle).tolist() == [0] * n
+    # a tail feeding the cycle's far end, plus a separate sink first
+    tail = np.concatenate(([-1], np.arange(2, n + 1), [n]))
+    assert components_of(tail).tolist() == [0] + [1] * n
+
+
 def test_result_tuple_unpacks(s1_cbtr):
     assignment, links, report = s1_cbtr
     assert s1_cbtr.assignment is assignment

@@ -1,8 +1,10 @@
 import csv
+import os
 import subprocess
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -255,9 +257,11 @@ def test_error_exit_codes(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "fleet.csv"
+    # the child imports the package from this tree, as the test process does
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "trackstitch.cli", "synth", "--n-vessels", "1",
          "--duration-s", "400", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

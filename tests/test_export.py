@@ -3,6 +3,7 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trackstitch.export import export_geojson, export_label_timeline
 from trackstitch.model import AisPoint, ClusterAssignment, TrackDataset
@@ -24,7 +25,8 @@ def _toy():
 
 def test_geojson_structure():
     ds, assignment = _toy()
-    doc = export_geojson(ds, assignment)
+    text = export_geojson(ds, assignment)
+    doc = json.loads(text)
     assert doc["type"] == "FeatureCollection"
     assert len(doc["features"]) == 2
     track = doc["features"][0]
@@ -33,12 +35,12 @@ def test_geojson_structure():
     assert track["geometry"]["coordinates"] == [[-76.0, 37.0], [-75.99, 37.0]]
     assert track["properties"] == {"cluster_id": 0, "point_count": 2,
                                    "endpoints": [2]}
-    json.dumps(doc)  # must be serializable as-is
+    assert text == json.dumps(doc, indent=2)
 
 
 def test_geojson_singleton_repeats_coordinate():
     ds, assignment = _toy()
-    single = export_geojson(ds, assignment)["features"][1]
+    single = json.loads(export_geojson(ds, assignment))["features"][1]
     assert single["geometry"]["coordinates"] == [[-76.01, 37.02], [-76.01, 37.02]]
     assert single["properties"]["point_count"] == 1
 
@@ -88,3 +90,70 @@ def test_timeline_escapes_markup_in_labels():
     texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
     assert "A&<B>" in texts
     assert "c0" in texts
+
+
+def _geojson_document(ds, assignment):
+    """The document export_geojson renders, built report by report."""
+    features = []
+    for cid in range(assignment.n_clusters):
+        members = [i for i in range(len(ds)) if assignment.cluster_of[i] == cid]
+        coords = [[float(ds.lon[i]), float(ds.lat[i])] for i in members]
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "LineString",
+                         "coordinates": coords * 2 if len(coords) == 1 else coords},
+            "properties": {"cluster_id": cid, "point_count": len(members),
+                           "endpoints": [i for i in members if i in assignment.endpoints]},
+        })
+    return {"type": "FeatureCollection", "features": features}
+
+
+coordinate = st.tuples(st.floats(-90, 90), st.floats(-180, 180))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coordinate, st.integers(0, 5), st.booleans()), max_size=12))
+def test_geojson_is_json_dumps_text(reports):
+    # cluster ids may skip values, so empty features are covered too
+    n = len(reports)
+    ds = TrackDataset(t=np.arange(n), lat=np.array([c[0] for c, _, _ in reports], dtype=float),
+                      lon=np.array([c[1] for c, _, _ in reports], dtype=float),
+                      sog=np.zeros(n), cog=np.zeros(n), vids=None, alpha=1.0)
+    assignment = ClusterAssignment(
+        cluster_of=np.array([cid for _, cid, _ in reports], dtype=np.int64),
+        endpoints=frozenset(i for i, (_, _, end) in enumerate(reports) if end),
+        abnormal=frozenset())
+    expected = json.dumps(_geojson_document(ds, assignment), indent=2)
+    assert export_geojson(ds, assignment) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from("abc"), st.integers(0, 3)),
+                min_size=1, max_size=15))
+def test_timeline_rows_span_each_label(reports):
+    # times are not sorted here: extents must not rely on time order
+    n = len(reports)
+    cluster_ids = sorted({cid for _, _, cid in reports})
+    ds = TrackDataset(t=np.array([t for t, _, _ in reports], dtype=np.int64),
+                      lat=np.zeros(n), lon=np.zeros(n), sog=np.zeros(n), cog=np.zeros(n),
+                      vids=tuple(vid for _, vid, _ in reports), alpha=1.0)
+    assignment = ClusterAssignment(
+        cluster_of=np.array([cluster_ids.index(cid) for _, _, cid in reports], dtype=np.int64),
+        endpoints=frozenset(), abnormal=frozenset())
+    svg = export_label_timeline(ds, assignment).splitlines()
+    t_max = max(max(t for t, _, _ in reports), 1)
+    spans = {}
+    for t, vid, cid in reports:
+        for label in (vid, f"c{cluster_ids.index(cid)}"):
+            lo, hi = spans.get(label, (t, t))
+            spans[label] = (min(lo, t), max(hi, t))
+    order = list(dict.fromkeys(vid for _, vid, _ in reports))
+    order += [f"c{k}" for k in range(len(cluster_ids))]
+    rows = [line for line in svg if line.startswith("  <line ")]
+    labels = [line for line in svg
+              if line.startswith('  <text x="8" y="') and "over time" not in line]
+    assert [line.split(">")[1].split("<")[0] for line in labels] == order
+    for label, row in zip(order, rows):
+        lo, hi = spans[label]
+        assert f'x1="{90 + 700 * (lo / t_max):.2f}"' in row
+        assert f'x2="{90 + 700 * (hi / t_max):.2f}"' in row

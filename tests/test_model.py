@@ -103,6 +103,31 @@ def test_dataset_rejects_bad_sog(sog):
         replace(ds, sog=np.array([4.0, sog, 6.0]))
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("lat", np.nan, "report 1: lat out of range: nan"),
+    ("lat", 90.5, "report 1: lat out of range: 90.5"),
+    ("lon", -np.inf, "report 1: lon out of range: -inf"),
+    ("lon", np.nan, "report 1: lon out of range: nan"),
+    ("sog", np.inf, "report 1: sog must be finite, got inf"),
+    ("cog", np.nan, "report 1: cog must be in [0, 360), got nan"),
+    ("cog", 360.0, "report 1: cog must be in [0, 360), got 360.0"),
+])
+def test_dataset_rejects_bad_columns(column, value, message):
+    ds = TrackDataset.from_points(_points())
+    values = getattr(ds, column).copy()
+    values[1] = value
+    with pytest.raises(ValueError) as exc:
+        replace(ds, **{column: values})
+    assert str(exc.value) == message
+
+
+def test_dataset_names_the_first_bad_report():
+    ds = TrackDataset.from_points(_points())
+    with pytest.raises(ValueError) as exc:
+        replace(ds, lat=np.array([37.0, 37.0, 95.0]), cog=np.array([0.0, 400.0, 0.0]))
+    assert str(exc.value) == "report 1: cog must be in [0, 360), got 400.0"
+
+
 def test_dataset_rejects_empty():
     with pytest.raises(ValueError):
         TrackDataset.from_points([])
