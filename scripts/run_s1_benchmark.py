@@ -1,5 +1,6 @@
 """Run both reconstruction algorithms on the benchmark fleet and print a
-side-by-side quality summary.
+side-by-side quality summary, then time npc classification on each vessel's
+alternating reports.
 
 Usage: python3 scripts/run_s1_benchmark.py [--seed N] [--threads N]
 """
@@ -9,8 +10,8 @@ import time
 
 from trackstitch.cbtr import run_cbtr, surviving_targets
 from trackstitch.metrics import build_report, correct_neighbor_rate, jumps_merges
-from trackstitch.npc import npc_cluster, npc_grouping_targets
-from trackstitch.synth import generate_fleet, scenario_s1
+from trackstitch.npc import npc_classify, npc_cluster, npc_grouping_targets
+from trackstitch.synth import even_odd_split, generate_fleet, scenario_s1
 
 
 def main() -> None:
@@ -50,6 +51,14 @@ def main() -> None:
     print(f"jumps = {jumps}, merges = {merges}, "
           f"clusters = {assignment.n_clusters}")
     print(f"runtime_s = {npc_s:.3f}")
+
+    train, test = even_odd_split(ds)
+    start = time.perf_counter()
+    labels = npc_classify(train, test)
+    classify_s = time.perf_counter() - start
+    hits = sum(a == b for a, b in zip(labels, test.vids))
+    print(f"classify_accuracy = {hits / len(labels):.6f}")
+    print(f"classify_runtime_s = {classify_s:.3f}")
 
 
 if __name__ == "__main__":

@@ -92,6 +92,14 @@ def _add_npc_flags(parser: argparse.ArgumentParser) -> None:
                         default=defaults.cog_weight)
 
 
+_ASSIGNMENT_HEADER = "index,t,lat,lon,cluster,endpoint,abnormal"
+# the columns eval reads; lat and lon are counted as fields, as zero-width
+# text, but not converted
+_ASSIGNMENT_INTS = ("index", "t", "cluster", "endpoint", "abnormal")
+_ASSIGNMENT_ROW = np.dtype([(name, np.int64 if name in _ASSIGNMENT_INTS else "U0")
+                            for name in _ASSIGNMENT_HEADER.split(",")])
+
+
 def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment,
                     coords: tuple[list[str], list[str]]) -> str:
     """One row per report; ``coords`` is coordinate_text(ds)."""
@@ -99,36 +107,45 @@ def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment,
     flags = (index_mask(n, assignment.endpoints), index_mask(n, assignment.abnormal))
     rows = map("{},{},{},{},{},{},{}\n".format, range(n), ds.t.tolist(), *coords,
                assignment.cluster_of.tolist(), *(f.view(np.uint8).tolist() for f in flags))
-    return "index,t,lat,lon,cluster,endpoint,abnormal\n" + "".join(rows)
+    return _ASSIGNMENT_HEADER + "\n" + "".join(rows)
 
 
 def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
+    """Report times and the assignment from an assignment.csv, read by column."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "index,t,lat,lon,cluster,endpoint,abnormal":
+    if not lines or lines[0] != _ASSIGNMENT_HEADER:
         raise IngestError(f"{path} line 1: not an assignment file")
-    t, cluster, endpoints, abnormal = [], [], set(), set()
+    if not any(lines[1:]):
+        raise IngestError(f"{path}: no data rows")
+    try:
+        table = np.loadtxt(lines[1:], dtype=_ASSIGNMENT_ROW, delimiter=",",
+                           comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _first_assignment_error(path, lines, exc) from None
+    index, t, cluster, endpoint, abnormal = (
+        np.ascontiguousarray(table[name]) for name in _ASSIGNMENT_INTS)
+    assignment = ClusterAssignment(cluster_of=cluster,
+                                   endpoints=frozenset(index[endpoint != 0].tolist()),
+                                   abnormal=frozenset(index[abnormal != 0].tolist()))
+    return t, assignment
+
+
+def _first_assignment_error(path: str, lines: list[str], fallback: Exception) -> IngestError:
+    """The first line of an assignment.csv breaking the row format, scanned
+    only when the column pass fails: field count, then int(), then int64."""
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 7:
-            raise IngestError(f"{path} line {line_no}: expected 7 fields")
+            return IngestError(f"{path} line {line_no}: expected 7 fields")
         try:
-            idx = int(parts[0])
-            t.append(int(parts[1]))
-            cluster.append(int(parts[4]))
-            if int(parts[5]):
-                endpoints.add(idx)
-            if int(parts[6]):
-                abnormal.add(idx)
+            values = [int(parts[i]) for i in (0, 1, 4, 5, 6)]
         except ValueError as exc:
-            raise IngestError(f"{path} line {line_no}: {exc}") from None
-    if not cluster:
-        raise IngestError(f"{path}: no data rows")
-    assignment = ClusterAssignment(cluster_of=np.array(cluster, dtype=np.int64),
-                                   endpoints=frozenset(endpoints),
-                                   abnormal=frozenset(abnormal))
-    return np.array(t, dtype=np.int64), assignment
+            return IngestError(f"{path} line {line_no}: {exc}")
+        if not all(-2**63 <= value < 2**63 for value in values):
+            return IngestError(f"{path} line {line_no}: integer out of int64 range")
+    return IngestError(f"{path}: unreadable assignment: {fallback}")
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:

@@ -48,9 +48,17 @@ def _open_text(source: Source) -> TextIO:
     return io.StringIO(source.read().removeprefix("\ufeff"), newline=None)
 
 
+def _plain(raw: str) -> bool:
+    """Whether text between any surrounding whitespace is ASCII without ``_``
+    digit separators, the syntax numpy's text reader takes for numbers."""
+    return "_" not in raw and raw.strip().isascii()
+
+
 def _parse_timestamp(raw: str) -> int:
     """Unix time in integer seconds; ValueError names the stripped text."""
     raw = raw.strip()
+    if not _plain(raw):
+        raise ValueError(f"bad timestamp {raw!r}")
     try:
         seconds = int(raw)
     except ValueError:
@@ -70,19 +78,21 @@ def _parse_number(raw: str) -> float:
     """float(), restricted to the syntax numpy's text reader takes: ASCII
     between any surrounding whitespace, and no ``_`` digit separators."""
     value = float(raw)
-    if "_" in raw or not raw.strip().isascii():
+    if not _plain(raw):
         raise ValueError(f"could not convert string to float: {raw!r}")
     return value
 
 
 def _timestamps(raw: np.ndarray) -> np.ndarray:
     """Integer seconds of a column of timestamp strings."""
-    try:
-        seconds = np.fromiter(map(int, raw), dtype=np.int64, count=len(raw))
-        if np.all((seconds > -_SECONDS_LIMIT) & (seconds < _SECONDS_LIMIT)):
-            return seconds
-    except (ValueError, OverflowError):
-        pass  # ISO text, or a value past the limit, which _parse_timestamp names
+    # one check of the whole column keeps int() to the syntax _parse_timestamp takes
+    if _plain("".join(raw)):
+        try:
+            seconds = np.fromiter(map(int, raw), dtype=np.int64, count=len(raw))
+            if np.all((seconds > -_SECONDS_LIMIT) & (seconds < _SECONDS_LIMIT)):
+                return seconds
+        except (ValueError, OverflowError):
+            pass  # ISO text, or a value past the limit, which _parse_timestamp names
     return np.fromiter(map(_parse_timestamp, raw), dtype=np.int64, count=len(raw))
 
 

@@ -8,15 +8,14 @@ belongs to the same vessel.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cbtr import components_of
-from .kinematics import displace, ground_distance_coords_m
-from .model import ClusterAssignment, TrackDataset
+# the kinematics helpers' constants, for their array forms below
+from .kinematics import DEG_LAT_PER_KNOT_S, KNOT_MPS, M_PER_DEG_LAT, M_PER_DEG_LON_EQ
+from .model import ClusterAssignment, TrackDataset, label_codes
 
 # classification looks back at most this many reports per label
 RECENT_PER_LABEL = 10
@@ -24,6 +23,8 @@ RECENT_PER_LABEL = 10
 # reports whose neighbors are searched per numpy pass; each pass scores
 # them against one contiguous time window of the dataset
 _BLOCK_ROWS = 32
+
+_FIT_ROWS = 1024  # reports whose neighbors are extrapolated per numpy pass
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,21 @@ class UnclassifiablePointError(ValueError):
         super().__init__(f"no labeled history for {len(indices)} test points: {shown}{more}")
 
 
-def _mean_course_deg(a: float, b: float) -> float:
-    """Average of two compass courses, taken on the circle."""
-    ar, br = math.radians(a), math.radians(b)
-    y = (math.sin(ar) + math.sin(br)) / 2.0
-    x = (math.cos(ar) + math.cos(br)) / 2.0
-    if x == 0.0 and y == 0.0:
-        return a  # opposite courses; any choice is as wrong as another
-    return math.degrees(math.atan2(y, x)) % 360.0
+def _displace(lat, lon, sog, cog, dt):
+    """kinematics.displace over arrays: the same operations in the same order."""
+    course = np.radians(cog)
+    new_lat = lat + sog * np.cos(course) * DEG_LAT_PER_KNOT_S * dt
+    lon_rate = KNOT_MPS / (M_PER_DEG_LON_EQ * np.cos(np.radians(lat)))
+    new_lon = lon + sog * np.sin(course) * lon_rate * dt
+    return new_lat, new_lon
+
+
+def _ground_m(lat1, lon1, lat2, lon2):
+    """kinematics.ground_distance_coords_m over arrays, up to hypot's last ulp."""
+    mean_lat = np.radians((lat1 + lat2) / 2.0)
+    dy = (lat2 - lat1) * M_PER_DEG_LAT
+    dx = (lon2 - lon1) * M_PER_DEG_LON_EQ * np.cos(mean_lat)
+    return np.hypot(dx, dy)
 
 
 def npc_classify(train: TrackDataset, test: TrackDataset) -> tuple[str, ...]:
@@ -81,46 +89,30 @@ def npc_classify(train: TrackDataset, test: TrackDataset) -> tuple[str, ...]:
     """
     if not train.has_vids():
         raise ValueError("training data must carry vids")
-    labels = sorted(set(train.vids))
-    by_label: dict[str, list[int]] = {label: [] for label in labels}
-    for i in range(len(train)):
-        by_label[train.vids[i]].append(i)
-    label_times = {label: [int(train.t[i]) for i in idx]
-                   for label, idx in by_label.items()}
-
-    results: list[str | None] = []
-    dead: list[int] = []
-    for k in range(len(test)):
-        tk = int(test.t[k])
-        lat_k = float(test.lat[k])
-        lon_k = float(test.lon[k])
-        best_label = None
-        best_d = math.inf
-        for label in labels:
-            idx = by_label[label]
-            cut = bisect_right(label_times[label], tk)
-            if cut == 0:
-                continue
-            recent = idx[max(0, cut - RECENT_PER_LABEL):cut]
-            sel = None
-            sel_d = math.inf
-            for i in recent:
-                d = ground_distance_coords_m(float(train.lat[i]), float(train.lon[i]),
-                                             lat_k, lon_k)
-                if d < sel_d:
-                    sel, sel_d = i, d
-            est_lat, est_lon = displace(float(train.lat[sel]), float(train.lon[sel]),
-                                        float(train.sog[sel]), float(train.cog[sel]),
-                                        tk - int(train.t[sel]))
-            d = ground_distance_coords_m(est_lat, est_lon, lat_k, lon_k)
-            if d < best_d:
-                best_label, best_d = label, d
-        if best_label is None:
-            dead.append(k)
-        results.append(best_label)
-    if dead:
-        raise UnclassifiablePointError(dead)
-    return tuple(results)
+    distinct, codes = label_codes(train.vids)
+    # each label's reports, label by label, in time order within a label
+    members = np.argsort(codes, kind="stable")
+    starts = np.searchsorted(codes[members], np.arange(len(distinct) + 1))
+    best = np.full(len(test), -1, dtype=np.int64)
+    best_d = np.full(len(test), np.inf)
+    for code in sorted(range(len(distinct)), key=distinct.__getitem__):
+        idx = members[starts[code]:starts[code + 1]]
+        cut = np.searchsorted(train.t[idx], test.t, side="right")
+        # positions cut-10..cut-1 of the label's history; any below 0 repeat
+        # position 0, which is among them whenever cut > 0
+        recent = idx[np.maximum(cut[:, None] + np.arange(-RECENT_PER_LABEL, 0), 0)]
+        near = _ground_m(train.lat[recent], train.lon[recent],
+                         test.lat[:, None], test.lon[:, None])
+        sel = recent[np.arange(len(test)), np.argmin(near, axis=1)]
+        est_lat, est_lon = _displace(train.lat[sel], train.lon[sel], train.sog[sel],
+                                     train.cog[sel], test.t - train.t[sel])
+        d = _ground_m(est_lat, est_lon, test.lat, test.lon)
+        better = (cut > 0) & (d < best_d)
+        best[better] = code
+        best_d[better] = d[better]
+    if np.any(best < 0):
+        raise UnclassifiablePointError(np.flatnonzero(best < 0).tolist())
+    return tuple(np.array(distinct, dtype=object)[best].tolist())
 
 
 def _window_d2(feats: list[np.ndarray], a: int, b: int, lo: int, hi: int) -> np.ndarray:
@@ -161,40 +153,48 @@ def npc_grouping_targets(ds: TrackDataset, cfg: NpcConfig | None = None) -> np.n
                                            (cfg.sog_weight, ds.sog), (cfg.cog_weight, ds.cog))
                     if w != 0]
 
-    targets = np.empty(n, dtype=np.int64)
+    nbr = np.empty((n, k), dtype=np.int64)
     radius = k  # reports scored on each side of a block, at least k
     for a in range(0, n, _BLOCK_ROWS):
         b = min(n, a + _BLOCK_ROWS)
         while True:
             lo, hi = max(0, a - radius), min(n, b + radius)
             d2 = _window_d2(feats, a, b, lo, hi)
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
             # tf is non-decreasing, so the reports at lo-1 and hi have the
             # smallest time gaps of all reports outside the window
-            if ((lo == 0 or np.all((tf[a:b] - tf[lo - 1]) ** 2 > kth))
-                    and (hi == n or np.all((tf[hi] - tf[a:b]) ** 2 > kth))):
+            if ((lo == 0 or np.all((tf[a:b, None] - tf[lo - 1]) ** 2 > kth))
+                    and (hi == n or np.all((tf[hi] - tf[a:b, None]) ** 2 > kth))):
                 break
             radius *= 2
         # the columns within some row's k-th best hold every neighbor and
         # span the radius this block needed
-        near = np.flatnonzero(np.any(d2 <= kth[:, None], axis=0))
+        near = np.flatnonzero(np.any(d2 <= kth, axis=0))
         first, last = lo + int(near[0]), lo + int(near[-1]) + 1
         radius = max(k, a - first, last - b)
-        order = np.argsort(d2[:, first - lo:last - lo], axis=1, kind="stable")[:, :k] + first
-        for row, i in enumerate(range(a, b)):
-            best_j = -1
-            best_d = math.inf
-            for j in sorted(int(x) for x in order[row]):
-                dt = int(ds.t[j]) - int(ds.t[i])
-                avg_sog = (float(ds.sog[i]) + float(ds.sog[j])) / 2.0
-                avg_cog = _mean_course_deg(float(ds.cog[i]), float(ds.cog[j]))
-                est_lat, est_lon = displace(float(ds.lat[i]), float(ds.lon[i]),
-                                            avg_sog, avg_cog, dt)
-                d = ground_distance_coords_m(est_lat, est_lon,
-                                             float(ds.lat[j]), float(ds.lon[j]))
-                if d < best_d:
-                    best_j, best_d = j, d
-            targets[i] = best_j
+        # the k nearest in index order: the cells below the k-th distance, then
+        # those equal to it in index order up to k, as a stable argsort takes
+        sub = d2[:, first - lo:last - lo]
+        below, tied = sub < kth, sub == kth
+        tied &= np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)
+        nbr[a:b] = np.nonzero(below | tied)[1].reshape(b - a, k) + first
+
+    # extrapolate each report with the pair's average velocity to each of its
+    # neighbors, in slices of reports that bound the temporaries; the first
+    # (lowest-index) best fit wins
+    targets = np.empty(n, dtype=np.int64)
+    for a in range(0, n, _FIT_ROWS):
+        i, j = np.arange(a, min(n, a + _FIT_ROWS))[:, None], nbr[a:a + _FIT_ROWS]
+        ar, br = np.radians(ds.cog[i]), np.radians(ds.cog[j])
+        y = (np.sin(ar) + np.sin(br)) / 2.0
+        x = (np.cos(ar) + np.cos(br)) / 2.0
+        # the mean course; opposite courses keep the report's own
+        avg_cog = np.where((x == 0.0) & (y == 0.0), ds.cog[i],
+                           np.degrees(np.arctan2(y, x)) % 360.0)
+        est_lat, est_lon = _displace(ds.lat[i], ds.lon[i], (ds.sog[i] + ds.sog[j]) / 2.0,
+                                     avg_cog, ds.t[j] - ds.t[i])
+        d = _ground_m(est_lat, est_lon, ds.lat[j], ds.lon[j])
+        targets[a:a + _FIT_ROWS] = j[np.arange(len(j)), np.argmin(d, axis=1)]
     return targets
 
 

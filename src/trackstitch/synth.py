@@ -16,7 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kinematics import DEG_LAT_PER_KNOT_S, displace
-from .model import KNOT_MPS, M_PER_DEG_LAT, M_PER_DEG_LON_EQ, AisPoint, TrackDataset
+from .model import (
+    KNOT_MPS,
+    M_PER_DEG_LAT,
+    M_PER_DEG_LON_EQ,
+    AisPoint,
+    TrackDataset,
+    label_codes,
+    latitude_scale,
+)
 
 ARCHETYPES = ("transit", "turning", "steady-docked", "steady-drifting")
 
@@ -287,6 +295,30 @@ def generate_fleet(cfg: SynthConfig) -> TrackDataset:
     return TrackDataset.from_points(points, epoch="0")
 
 
+def _vessel_codes(ds: TrackDataset) -> np.ndarray:
+    """Each report's vessel in order of first appearance; one vessel without vids."""
+    return label_codes(ds.vids)[1] if ds.has_vids() else np.zeros(len(ds), dtype=np.int64)
+
+
+def _vessel_rank(codes: np.ndarray) -> np.ndarray:
+    """Each report's rank within its vessel: its place in the stable sort by
+    vessel, less the place of the vessel's first report there."""
+    order = np.argsort(codes, kind="stable")
+    grouped = codes[order]
+    rank = np.empty(len(codes), dtype=np.int64)
+    rank[order] = np.arange(len(codes)) - np.searchsorted(grouped, grouped)
+    return rank
+
+
+def _subset(ds: TrackDataset, rows: np.ndarray, epoch: str) -> TrackDataset:
+    lat = ds.lat[rows]
+    return TrackDataset(t=ds.t[rows], lat=lat, lon=ds.lon[rows], sog=ds.sog[rows],
+                        cog=ds.cog[rows],
+                        vids=tuple(map(ds.vids.__getitem__, rows.tolist()))
+                        if ds.has_vids() else None,
+                        alpha=latitude_scale(lat.tolist()), epoch=epoch)
+
+
 def downsample(ds: TrackDataset, pattern: str) -> TrackDataset:
     """Thin a dataset by dropping every 5th or every 2nd report.
 
@@ -296,15 +328,19 @@ def downsample(ds: TrackDataset, pattern: str) -> TrackDataset:
     if pattern not in PATTERNS:
         raise ValueError(f"pattern must be one of {PATTERNS}, got {pattern!r}")
     step = 5 if pattern == EVERY_5TH else 2
-    groups: dict[str | None, list[int]] = {}
-    for i in range(len(ds)):
-        key = ds.vids[i] if ds.vids is not None else None
-        groups.setdefault(key, []).append(i)
-    keep = []
-    for members in groups.values():
-        keep.extend(i for k, i in enumerate(members) if (k + 1) % step != 0)
-    keep.sort()
-    return TrackDataset.from_points([ds.point(i) for i in keep], epoch=ds.epoch)
+    keep = (_vessel_rank(_vessel_codes(ds)) + 1) % step != 0
+    return _subset(ds, np.flatnonzero(keep), ds.epoch)
+
+
+def even_odd_split(ds: TrackDataset) -> tuple[TrackDataset, TrackDataset]:
+    """Each vessel's reports alternate between history (even rank) and test
+    (odd rank).  Within a timestamp, reports run by vessel in order of first
+    appearance, then in dataset order."""
+    codes = _vessel_codes(ds)
+    odd = _vessel_rank(codes) % 2 == 1
+    train, test = (_subset(ds, rows[np.lexsort((codes[rows], ds.t[rows]))], "0")
+                   for rows in (np.flatnonzero(~odd), np.flatnonzero(odd)))
+    return train, test
 
 
 def scenario_s1(seed: int = S1_SEED) -> SynthConfig:

@@ -27,6 +27,30 @@ def advance(lat, lon, sog, cog, dt):
     return lat + north, lon + east
 
 
+def classify_all(train, vids, test, recent=10):
+    """Per test report, the label whose nearest of its last ``recent`` reports
+    at or before the test time, advanced to that time, lands closest; ties go
+    to the first label in sorted order.  None where no label has history."""
+    labels = sorted(set(vids))
+    history = {label: [p for p, v in zip(train, vids) if v == label] for label in labels}
+    times = {label: [p[0] for p in history[label]] for label in labels}
+    out = []
+    for t, lat, lon, _, _ in test:
+        best, best_d = None, math.inf
+        for label in labels:
+            cut = bisect_right(times[label], t)
+            if cut == 0:
+                continue
+            past = history[label][max(0, cut - recent):cut]
+            near = min(past, key=lambda p: ground_m(p[1], p[2], lat, lon))
+            est_lat, est_lon = advance(near[1], near[2], near[3], near[4], t - near[0])
+            d = ground_m(est_lat, est_lon, lat, lon)
+            if d < best_d:
+                best, best_d = label, d
+        out.append(best)
+    return out
+
+
 def cos3(u, v):
     nu = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
     nv = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])

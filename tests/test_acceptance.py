@@ -19,13 +19,14 @@ from trackstitch.cbtr import run_cbtr, select_bpnp
 from trackstitch.cli import main
 from trackstitch.ingest import write_ais_csv
 from trackstitch.metrics import correct_neighbor_rate, estimate_vessel_count, jumps_merges
-from trackstitch.model import CbtrConfig, TrackDataset
+from trackstitch.model import CbtrConfig
 from trackstitch.npc import npc_classify, npc_cluster, npc_grouping_targets
 from trackstitch.synth import (
     EVERY_2ND,
     EVERY_5TH,
     SynthConfig,
     downsample,
+    even_odd_split,
     generate_fleet,
     scenario_s1,
     scenario_s1_gaps,
@@ -200,19 +201,6 @@ def test_04_endpoint_flags_rederived_independently(s1_cbtr, s1_ref):
              f"{len(endpoints ^ expected)} disagreements")
 
 
-def _classification_split(s1):
-    groups: dict[str, list[int]] = {}
-    for i in range(len(s1)):
-        groups.setdefault(s1.vids[i], []).append(i)
-    train_idx, test_idx = [], []
-    for members in groups.values():
-        for k, i in enumerate(members):
-            (train_idx if k % 2 == 0 else test_idx).append(i)
-    train = TrackDataset.from_points([s1.point(i) for i in train_idx], epoch="0")
-    test = TrackDataset.from_points([s1.point(i) for i in test_idx], epoch="0")
-    return train, test
-
-
 def test_05_benchmark_quality_floors(s1, s1_cbtr, npc_run):
     rate = correct_neighbor_rate(s1_cbtr.links.targets, s1.vids)
     jumps, merges = jumps_merges(s1_cbtr.assignment, s1.vids)
@@ -221,7 +209,7 @@ def test_05_benchmark_quality_floors(s1, s1_cbtr, npc_run):
     npc_targets, npc_assignment = npc_run
     npc_rate = correct_neighbor_rate(npc_targets, s1.vids)
 
-    train, test = _classification_split(s1)
+    train, test = even_odd_split(s1)
     labels = npc_classify(train, test)
     acc = sum(a == b for a, b in zip(labels, test.vids)) / len(labels)
 

@@ -85,6 +85,66 @@ def test_cluster_eval_flow(fleet_csv, tmp_path, capsys):
     assert len(lines[1].split(",")) == len(lines[0].split(","))
 
 
+ASSIGNMENT_HEAD = "index,t,lat,lon,cluster,endpoint,abnormal\n"
+ROW = "0,0,1.0,2.0,0,0,0\n"
+
+# assignment text -> what follows the path in the error line
+EVAL_REJECTED = [
+    pytest.param("index,t\n" + ROW, " line 1: not an assignment file", id="bad-header"),
+    pytest.param("", " line 1: not an assignment file", id="empty"),
+    pytest.param(ASSIGNMENT_HEAD + "0,0,1.0,2.0,0,0\n", " line 2: expected 7 fields",
+                 id="short-row"),
+    pytest.param(ASSIGNMENT_HEAD + ROW + "\n1,5,1.0,2.0,0,0,0,0\n",
+                 " line 4: expected 7 fields", id="long-row-after-blank"),
+    pytest.param(ASSIGNMENT_HEAD + "0,x,1.0,2.0,0,0,0\n",
+                 " line 2: invalid literal for int() with base 10: 'x'", id="bad-time"),
+    pytest.param(ASSIGNMENT_HEAD + ROW + "1,5,1.0,2.0,0,1.0,0\n",
+                 " line 3: invalid literal for int() with base 10: '1.0'", id="float-flag"),
+    pytest.param(ASSIGNMENT_HEAD + ROW + "1,5,1.0,2.0,9223372036854775808,0,0\n",
+                 " line 3: integer out of int64 range", id="int64-overflow"),
+    pytest.param(ASSIGNMENT_HEAD + "\n\n", ": no data rows", id="blank-rows-only"),
+    pytest.param(ASSIGNMENT_HEAD + ROW + "1,1_000,1.0,2.0,0,0,0\n",
+                 ": unreadable assignment: could not convert string '1_000' to int64"
+                 " at row 1, column 2.", id="digit-separator"),
+    pytest.param(ASSIGNMENT_HEAD + ROW + "1,\u0661\u0662,1.0,2.0,0,0,0\n",
+                 ": unreadable assignment: could not convert string '\u0661\u0662' to"
+                 " int64 at row 1, column 2.", id="non-ascii-digits"),
+]
+
+
+@pytest.mark.parametrize("text, message", EVAL_REJECTED)
+def test_eval_rejects_bad_assignment(fleet_csv, tmp_path, capsys, text, message):
+    path = tmp_path / "assignment.csv"
+    path.write_bytes(text.encode())
+    assert main(["eval", str(path), str(fleet_csv)]) == 1
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("variant", ["padded", "crlf", "blank-lines", "lat-lon-unread"])
+def test_eval_reads_assignment_variants(fleet_csv, tmp_path, capsys, variant):
+    outdir = tmp_path / "run"
+    assert main(["cluster", str(fleet_csv), "--out", str(outdir)]) == 0
+    clean = (outdir / "assignment.csv").read_text()
+    head, *rows = clean.splitlines()
+    if variant == "padded":
+        rows = [",".join(f if k in (2, 3) else f" +{f} " for k, f in enumerate(r.split(",")))
+                for r in rows]
+    elif variant == "lat-lon-unread":
+        rows = [",".join("x" if k in (2, 3) else f for k, f in enumerate(r.split(",")))
+                for r in rows]
+    elif variant == "blank-lines":
+        rows = [r + "\n" for r in rows]
+    end = "\r\n" if variant == "crlf" else "\n"
+    odd = tmp_path / "odd.csv"
+    odd.write_bytes(end.join([head, *rows, ""]).encode())
+    capsys.readouterr()
+    reports = []
+    for path in (outdir / "assignment.csv", odd):
+        assert main(["eval", str(path), str(fleet_csv), "--format", "csv"]) == 0
+        reports.append(capsys.readouterr().out.rsplit(",", 1)[0])  # all but runtime_s
+    assert reports[0] == reports[1]
+
+
 def test_cluster_rerun_is_byte_identical(fleet_csv, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["cluster", str(fleet_csv), "--out", str(a)]) == 0

@@ -86,6 +86,10 @@ REJECTED = [
     pytest.param(HEAD6 + "A,5,1,2,3,4,5\n", "line 2: expected 6 fields, got 7", id="long-row"),
     pytest.param(HEAD5 + "xx,1,2,3,4\n", "line 2: bad timestamp 'xx'", id="bad-timestamp"),
     pytest.param(HEAD5 + "5.5,1,2,3,4\n", "line 2: bad timestamp '5.5'", id="fractional-timestamp"),
+    pytest.param(HEAD5 + "1_000,1,2,3,4\n", "line 2: bad timestamp '1_000'",
+                 id="underscore-timestamp"),
+    pytest.param(HEAD5 + "5,1,2,3,4\n\u0661\u0662,1,2,3,4\n",
+                 "line 3: bad timestamp '\u0661\u0662'", id="non-ascii-timestamp"),
     pytest.param(HEAD5 + "5,abc,2,3,4\n",
                  "line 2: could not convert string to float: 'abc'", id="bad-float"),
     pytest.param(HEAD5 + "5,1,2,3,\n",

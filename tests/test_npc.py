@@ -16,7 +16,7 @@ from trackstitch.npc import (
     npc_cluster,
     npc_grouping_targets,
 )
-from trackstitch.synth import generate_fleet, scenario_s1
+from trackstitch.synth import even_odd_split, generate_fleet, scenario_s1
 
 from conftest import small_mixed_config
 
@@ -94,6 +94,34 @@ def test_classify_lookback_is_bounded():
     assert npc_classify(train, test) == ("b",)
 
 
+def test_classify_lookback_reaches_the_tenth_last_report():
+    # a's only report near the test point is the tenth from its last, so it
+    # still counts and beats b, 1000 m away
+    x_lat, x_lon = 37.0, -76.0
+    far_lat = 37.0 + 5000.0 / 111120.0
+    pts = [_pt(k * 10, x_lat if k == 2 else far_lat, x_lon, 0.0, 0.0, vid="a")
+           for k in range(12)]
+    pts.append(_pt(0, x_lat + 1000.0 / 111120.0, x_lon, 0.0, 0.0, vid="b"))
+    train = TrackDataset.from_points(pts)
+    test = TrackDataset.from_points([_pt(200, x_lat, x_lon, 0.0, 0.0)])
+    assert npc_classify(train, test) == ("a",)
+
+
+def test_classify_equidistant_recent_reports_take_the_earlier():
+    # a's two reports sit exactly 2**-8 degrees south and north of the test
+    # point; the earlier one, headed for it, is taken and beats b at 300 m
+    offset = 2.0 ** -8
+    sog = offset * 111120.0 / (0.514444 * 200)
+    train = TrackDataset.from_points([
+        _pt(0, 37.0 - offset, -76.0, sog, 0.0, vid="a"),
+        _pt(100, 37.0 + offset, -76.0, 0.0, 0.0, vid="a"),
+        _pt(100, 37.0, -76.0 + 300.0 / (111320.0 * math.cos(math.radians(37.0))), 0.0, 0.0,
+            vid="b"),
+    ])
+    test = TrackDataset.from_points([_pt(200, 37.0, -76.0, 0.0, 0.0)])
+    assert npc_classify(train, test) == ("a",)
+
+
 def test_classify_reports_unreachable_points():
     train = TrackDataset.from_points([_pt(50, 37.0, -76.0, 1.0, 0.0, vid="a")])
     test = TrackDataset.from_points([
@@ -112,6 +140,56 @@ def test_unclassifiable_message_is_bounded():
     assert str(err) == ("no labeled history for 88 test points: "
                         "0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...")
     assert str(UnclassifiablePointError([3, 4])) == "no labeled history for 2 test points: 3, 4"
+
+
+def _assert_classify_matches_reference(train, test):
+    expected = reference.classify_all(reference.pts_of(train), train.vids,
+                                      reference.pts_of(test))
+    assert list(npc_classify(train, test)) == expected
+
+
+@pytest.mark.parametrize("seed", [7, 61])
+def test_classify_matches_reference_on_s1_split(seed):
+    _assert_classify_matches_reference(*even_odd_split(generate_fleet(scenario_s1(seed))))
+
+
+@pytest.mark.parametrize("twin", ["same-label", "other-label"])
+def test_classify_ties_match_reference(twin):
+    # every history report twice: under its own label the twin ties inside
+    # the recent reports, under another label it ties across labels
+    train, test = even_odd_split(generate_fleet(small_mixed_config(66, n_vessels=5)))
+    suffix = "" if twin == "same-label" else "/twin"
+    doubled = [p for i in range(len(train)) for p in
+               (train.point(i), replace(train.point(i), vid=train.vids[i] + suffix))]
+    _assert_classify_matches_reference(TrackDataset.from_points(doubled), test)
+
+
+def test_classify_late_label_matches_reference():
+    # one vessel's history starts after a third of the test reports; the
+    # reports before that can only go to other labels
+    train, test = even_odd_split(generate_fleet(small_mixed_config(67, n_vessels=5)))
+    late = train.vids[0]
+    start = int(test.t[len(test) // 3])
+    keep = [train.point(i) for i in range(len(train))
+            if train.vids[i] != late or train.t[i] > start]
+    _assert_classify_matches_reference(TrackDataset.from_points(keep), test)
+
+
+@pytest.mark.parametrize("lat0", [89.9, -89.9])
+def test_classify_near_pole_matches_reference(lat0):
+    # a degree of longitude is ~190 m here, so east-west motion moves
+    # longitude fast and the projections stretch far
+    rng = random.Random(68)
+    pts = []
+    for v in range(6):
+        lat, lon = lat0 + rng.uniform(-0.02, 0.02), rng.uniform(-20.0, 20.0)
+        sog, cog, t = rng.uniform(0.0, 12.0), rng.uniform(0.0, 360.0), rng.randrange(60)
+        for _ in range(30):
+            pts.append(_pt(t, lat, lon, sog, cog, vid=f"V{v}"))
+            step = rng.randrange(5, 40)
+            lat, lon = reference.advance(lat, lon, sog, cog, step)
+            t += step
+    _assert_classify_matches_reference(*even_odd_split(TrackDataset.from_points(pts)))
 
 
 def _two_vessel_toy():
@@ -186,6 +264,17 @@ def test_grouping_matches_bruteforce(seed):
     cfg = NpcConfig()
     got = npc_grouping_targets(ds, cfg)
     assert list(got) == _bruteforce_targets(ds, cfg)
+
+
+def test_grouping_opposite_courses_match_bruteforce():
+    # courses of 17 and 197 degrees sum to an exactly zero vector, so such a
+    # pair's mean course falls back to the report's own
+    rng = random.Random(69)
+    ds = TrackDataset.from_points([
+        _pt(rng.randrange(600), 37.0 + rng.uniform(0.0, 0.01), -76.0 + rng.uniform(0.0, 0.01),
+            8.0, rng.choice((17.0, 197.0))) for _ in range(60)])
+    cfg = NpcConfig()
+    assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
 
 
 def test_grouping_respects_feature_weights():
@@ -271,14 +360,36 @@ def test_block_size_is_invisible(block_fleet, rows, monkeypatch):
     assert np.array_equal(npc_grouping_targets(ds), default)
 
 
-def test_grouping_memory_is_not_quadratic():
+@pytest.mark.parametrize("rows", [1, 7])
+def test_fit_slice_size_is_invisible(block_fleet, rows, monkeypatch):
+    ds, default = block_fleet
+    monkeypatch.setattr(npc, "_FIT_ROWS", rows)
+    assert np.array_equal(npc_grouping_targets(ds), default)
+
+
+@pytest.fixture(scope="module")
+def long_s1():
     # ~18.8k reports, so 16 MB holds fewer than 112 full rows of float64 distances
     ds = generate_fleet(replace(scenario_s1(), duration_s=50_000))
     assert len(ds) > 15_000
+    return ds
+
+
+def _peak_bytes(call, *args):
     tracemalloc.start()
     try:
-        npc_grouping_targets(ds)
+        call(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    return peak
+
+
+def test_grouping_memory_is_not_quadratic(long_s1):
+    assert _peak_bytes(npc_grouping_targets, long_s1) < 16 * 2**20
+
+
+def test_classify_memory_is_not_quadratic(long_s1):
+    # ~9.4k reports on each side: one test-by-history matrix would take
+    # ~700 MB, one test-by-label-history matrix ~35 MB
+    assert _peak_bytes(npc_classify, *even_odd_split(long_s1)) < 16 * 2**20

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from test_acceptance import NPC_RATE
+from test_acceptance import NPC_CLASSIFY_ACC, NPC_RATE
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -31,3 +31,5 @@ def test_s1_benchmark_script_reports_npc_golden():
     assert proc.returncode == 0, proc.stderr
     npc_part = proc.stdout.split("== next-point connection ==", 1)[1]
     assert f"correct_neighbor_rate = {NPC_RATE:.6f}\n" in npc_part
+    assert f"classify_accuracy = {NPC_CLASSIFY_ACC:.6f}\n" in npc_part
+    assert "\nclassify_runtime_s = " in npc_part

@@ -8,6 +8,7 @@ from trackstitch.synth import (
     EVERY_5TH,
     SynthConfig,
     downsample,
+    even_odd_split,
     generate_fleet,
     scenario_s1,
     scenario_s1_gaps,
@@ -167,6 +168,32 @@ def test_downsample_unlabeled_runs_as_one_group():
     pts = [AisPoint(k * 10, 37.0, -76.0, 1.0, 0.0) for k in range(10)]
     out = downsample(TrackDataset.from_points(pts), EVERY_2ND)
     assert [int(t) for t in out.t] == [0, 20, 40, 60, 80]
+
+
+def test_even_odd_split_alternates_per_vessel():
+    ds = _ten_point_dataset()
+    train, test = even_odd_split(ds)
+    assert [int(t) for t in train.t] == [0, 5, 20, 25, 40, 60, 80]
+    assert [int(t) for t in test.t] == [10, 15, 30, 50, 70, 90]
+    assert train.vids == ("A", "B", "A", "B", "A", "A", "A")
+    assert train.epoch == test.epoch == "0"
+
+
+def test_even_odd_split_orders_ties_by_first_appearance():
+    # B reports first, so at a shared timestamp B's reports come before A's
+    pts = [AisPoint(0, 37.0, -76.0, 1.0, 0.0, vid="B"),
+           AisPoint(0, 37.1, -76.0, 1.0, 0.0, vid="A"),
+           AisPoint(0, 37.2, -76.0, 1.0, 0.0, vid="A"),
+           AisPoint(10, 37.3, -76.0, 1.0, 0.0, vid="A"),
+           AisPoint(10, 37.4, -76.0, 1.0, 0.0, vid="B"),
+           AisPoint(20, 37.5, -76.0, 1.0, 0.0, vid="B")]
+    train, test = even_odd_split(TrackDataset.from_points(pts))
+    assert list(zip(train.vids, train.lat.tolist())) == [
+        ("B", 37.0), ("A", 37.1), ("A", 37.3), ("B", 37.5)]
+    assert list(zip(test.vids, test.lat.tolist())) == [("A", 37.2), ("B", 37.4)]
+    # the same reports with A first
+    train, _ = even_odd_split(TrackDataset.from_points(pts[1:3] + pts[:1] + pts[3:]))
+    assert train.vids[:2] == ("A", "B")
 
 
 def test_gap_scenario_opens_real_outages():
