@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,15 +52,15 @@ class CbtrResult(NamedTuple):
     report: AbnormalReport
 
 
-# report-candidate cells scored per numpy pass at most; a pass takes as many
-# reports as fit this budget over the columns each has left to score
-_BLOCK_CELLS = 16384
+# report-candidate cells screened per numpy pass at most; a pass takes as
+# many reports as fit this budget over the columns each has left to score
+_BLOCK_CELLS = 32768
 
 
 class _Workspace:
     """Per-report arrays of reports start..stop-1, shared by every pass."""
 
-    __slots__ = ("cfg", "tf", "lat", "lon", "sog", "vn", "ve", "alpha")
+    __slots__ = ("cfg", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow")
 
     def __init__(self, ds: TrackDataset, cfg: CbtrConfig, start: int = 0,
                  stop: int | None = None):
@@ -75,6 +76,8 @@ class _Workspace:
         lon_rate = KNOT_MPS / (M_PER_DEG_LON_EQ * np.cos(np.radians(self.lat)))
         self.ve = self.sog * np.sin(course) * lon_rate
         self.alpha = ds.alpha
+        # sog >= 0, so a report faster than moving_speed_sum pairs as moving
+        self.slow = self.sog <= cfg.moving_speed_sum
 
 
 def _window_bounds(t: np.ndarray, at, window_s: int):
@@ -101,13 +104,116 @@ class _Scratch:
     """
 
     def __init__(self, cells: int):
-        self.floats = np.empty((11, cells))
+        self.floats = np.empty((12, cells))
         self.flags = np.empty((3, cells), dtype=bool)
 
     def views(self, rows: int, cols: int):
         cells = rows * cols
         return (list(self.floats[:, :cells].reshape(-1, rows, cols)),
                 list(self.flags[:, :cells].reshape(-1, rows, cols)))
+
+
+class _Columns:
+    """The candidates one sweep scans, every report or the slow ones.
+
+    ``index`` holds their report indices.  ``report`` and the values the
+    screen reads are copies padded with ``pad`` copies of their last value,
+    so that every band starting before the last column and at most ``pad``
+    columns wide is a window of contiguous memory, whatever the layout of
+    the dataset's arrays.
+    """
+
+    __slots__ = ("index", "report", "tf", "lat", "lon", "sog")
+
+    def __init__(self, ws: _Workspace, index: np.ndarray, pad: int):
+        self.index = index
+        for name in self.__slots__[1:]:
+            values = index if name == "report" else getattr(ws, name)[index]
+            setattr(self, name, np.concatenate((values, np.repeat(values[-1:], pad))))
+
+    @staticmethod
+    def band(values: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+        """values[first + k] for k < width, one row per entry of ``first``."""
+        return np.lib.stride_tricks.as_strided(
+            values, (values.size - width + 1, width), (values.itemsize,) * 2,
+            writeable=False)[first]
+
+    def indices(self, first: np.ndarray, width: int) -> np.ndarray:
+        """The report index of each value of band()."""
+        return self.band(self.report, first, width)
+
+
+def _sweep_columns(ws: _Workspace, lo: np.ndarray, hi: np.ndarray) -> tuple[_Columns, _Columns]:
+    """The columns of _fill_links' two sweeps: every report, the slow ones.
+
+    A band spans at most one row's window lo:hi and at most _BLOCK_CELLS
+    columns, so that many columns of padding suffice.
+    """
+    pad = min(_BLOCK_CELLS, int(np.max(hi - lo)))
+    return (_Columns(ws, np.arange(len(ws.tf)), pad),
+            _Columns(ws, np.flatnonzero(ws.slow), pad))
+
+
+def _reckon(ws: _Workspace, f: list, rows: np.ndarray, tf_j, lat_j, lon_j):
+    """The first operations on each cell, shared by the screen and the score.
+
+    For report i of each of ``rows`` and candidate j, with j's values given
+    one row per row: the time step dt, i dead-reckoned to j's time (plat,
+    plon) and j's scaled offset from there (fl, fo), into f[0:5].
+    """
+    lat_i, lon_i = ws.lat[rows, None], ws.lon[rows, None]
+    dt = np.subtract(tf_j, ws.tf[rows, None], out=f[0])
+    plat = np.multiply(ws.vn[rows, None], dt, out=f[1])
+    plat += lat_i
+    plon = np.multiply(ws.ve[rows, None], dt, out=f[2])
+    plon += lon_i
+    fl = np.subtract(plat, lat_j, out=f[3])
+    fl *= ws.alpha
+    fo = np.subtract(plon, lon_j, out=f[4])
+    return lat_i, lon_i, dt, plat, plon, fl, fo
+
+
+def _steady_terms(alpha: float, dlat: np.ndarray, dlon: np.ndarray):
+    """The two displacement terms of a steady pair's score."""
+    return (alpha * alpha) * (dlat * dlat), dlon * dlon
+
+
+def _screen(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: _Columns,
+            first: np.ndarray, width: int, best: np.ndarray, mixed: bool):
+    """The cells of ``rows`` over their columns first:first + width of
+    ``cols`` that may beat ``best``, each row's error so far, as flat lists
+    of rows and of report indices.
+
+    A cell is dropped when it lies beyond its row's window, or when a lower
+    bound of its score is at least best: it cannot beat best, and a later
+    pass wins only with a strictly lower error.  A moving score is the mean
+    of a forward error (tt + fl**2) + fo**2 and a backward one that is not
+    negative; a steady score is (ts**2 + lat2) + lon2 (_steady_terms).
+    Float addition of a term that is not negative never rounds a sum down,
+    so a score is at least (fl**2 + fo**2) / 2, or lat2 + lon2.  Without
+    ``mixed`` every row is faster than moving_speed_sum, so every cell pairs
+    as moving.
+    """
+    cfg = ws.cfg
+    f, (keep, steady, _) = scratch.views(len(rows), width)
+    lat_j, lon_j = cols.band(cols.lat, first, width), cols.band(cols.lon, first, width)
+    _, _, dt, _, _, fl, fo = _reckon(ws, f, rows, cols.band(cols.tf, first, width), lat_j, lon_j)
+    floor = np.multiply(fl, fl, out=f[5])
+    floor += np.multiply(fo, fo, out=f[6])
+    floor *= 0.5
+    if mixed:
+        speed_sum = np.add(ws.sog[rows, None], cols.band(cols.sog, first, width), out=f[6])
+        cells = np.flatnonzero(np.less_equal(speed_sum, cfg.moving_speed_sum, out=steady))
+        if cells.size:
+            r = cells // width
+            lat2, lon2 = _steady_terms(ws.alpha, lat_j.ravel()[cells] - ws.lat[rows[r]],
+                                       lon_j.ravel()[cells] - ws.lon[rows[r]])
+            floor.ravel()[cells] = lat2 + lon2
+    np.less(floor, best[:, None], out=keep)
+    # a padding cell may lie beyond its row's window
+    keep &= np.less_equal(dt, cfg.window_s, out=steady)
+    r, c = np.divmod(np.flatnonzero(keep), width)
+    return rows[r], cols.report[first[r] + c]
 
 
 def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.ndarray):
@@ -124,26 +230,24 @@ def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.n
     """
     cfg = ws.cfg
     alpha = ws.alpha
-    lat_i, lon_i = ws.lat[rows, None], ws.lon[rows, None]
-    lat_j, lon_j = ws.lat[cols], ws.lon[cols]
     # each result goes into a buffer whose previous content is no longer read
     f, (inside, moving, keep) = scratch.views(len(rows), cols.shape[1])
-
-    dt = np.subtract(ws.tf[cols], ws.tf[rows, None], out=f[0])
+    lat_j, lon_j = ws.lat[cols], ws.lon[cols]
+    lat_i, lon_i, dt, plat, plon, fl, fo = _reckon(ws, f, rows, ws.tf[cols], lat_j, lon_j)
     np.greater_equal(dt, 1, out=inside)
     inside &= np.less_equal(dt, cfg.window_s, out=keep)
-    speed_sum = np.add(ws.sog[rows, None], ws.sog[cols], out=f[1])
+    speed_sum = np.add(ws.sog[rows, None], ws.sog[cols], out=f[5])
     np.greater(speed_sum, cfg.moving_speed_sum, out=moving)
 
     # direction of the pair in scaled space-time
-    dlat = np.subtract(lat_j, lat_i, out=f[1])
-    dlon = np.subtract(lon_j, lon_i, out=f[2])
-    vtau = np.multiply(cfg.angle_time_weight, dt, out=f[3])
-    vv = np.multiply(vtau, vtau, out=f[4])
-    vlat = np.multiply(alpha, dlat, out=f[5])
-    vnorm = np.multiply(vlat, vlat, out=f[6])
+    dlat = np.subtract(lat_j, lat_i, out=f[5])
+    dlon = np.subtract(lon_j, lon_i, out=f[6])
+    vtau = np.multiply(cfg.angle_time_weight, dt, out=f[7])
+    vv = np.multiply(vtau, vtau, out=f[8])
+    vlat = np.multiply(alpha, dlat, out=f[9])
+    vnorm = np.multiply(vlat, vlat, out=f[10])
     np.add(vv, vnorm, out=vnorm)
-    vnorm += np.multiply(dlon, dlon, out=f[7])
+    vnorm += np.multiply(dlon, dlon, out=f[11])
     np.sqrt(vnorm, out=vnorm)
 
     # slow pairs: raw displacement, gated by closeness to the time axis;
@@ -153,27 +257,22 @@ def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.n
     steady = np.flatnonzero(keep)
     if steady.size:
         ts = cfg.time_weight_steady * dt.ravel()[steady]
-        sdlat = dlat.ravel()[steady]
-        sdlon = dlon.ravel()[steady]
-        d0 = ts * ts + (alpha * alpha) * (sdlat * sdlat) + sdlon * sdlon
+        lat2, lon2 = _steady_terms(alpha, dlat.ravel()[steady], dlon.ravel()[steady])
+        d0 = ts * ts + lat2 + lon2
         cos_steady = vtau.ravel()[steady] / vnorm.ravel()[steady]
         steady_score = np.where(cos_steady >= cfg.cos_steady_min, d0, np.inf)
 
     # fast pairs: heading agreement of i's dead-reckoned step with the pair
-    plat = np.multiply(ws.vn[rows, None], dt, out=f[1])
-    plat += lat_i
-    plon = np.multiply(ws.ve[rows, None], dt, out=f[3])
-    plon += lon_i
-    ulat = np.subtract(plat, lat_i, out=f[7])
+    ulat = np.subtract(plat, lat_i, out=f[1])
     ulat *= alpha
-    ulon = np.subtract(plon, lon_i, out=f[8])
+    ulon = np.subtract(plon, lon_i, out=f[2])
+    dot = np.multiply(ulat, vlat, out=f[11])
+    np.add(vv, dot, out=dot)
+    dot += np.multiply(ulon, dlon, out=f[5])
     unorm = np.multiply(ulat, ulat, out=f[9])
     np.add(vv, unorm, out=unorm)
-    unorm += np.multiply(ulon, ulon, out=f[10])
+    unorm += np.multiply(ulon, ulon, out=f[5])
     np.sqrt(unorm, out=unorm)
-    dot = np.multiply(ulat, vlat, out=f[10])
-    np.add(vv, dot, out=dot)
-    dot += np.multiply(ulon, dlon, out=f[7])
     unorm *= vnorm
     # masked cells at i's own time and place are 0/0; they never score
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -183,19 +282,16 @@ def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.n
     keep &= inside
 
     # two-sided dead-reckoning error: i forward to j's time, j back to i's
-    tt = np.multiply(cfg.time_weight_moving, dt, out=f[2])
+    tt = np.multiply(cfg.time_weight_moving, dt, out=f[1])
     tt *= tt
-    fl = np.subtract(plat, lat_j, out=f[1])
-    fl *= alpha
-    fo = np.subtract(plon, lon_j, out=f[3])
-    forward = np.multiply(fl, fl, out=f[4])
+    forward = np.multiply(fl, fl, out=f[2])
     np.add(tt, forward, out=forward)
     forward += np.multiply(fo, fo, out=f[5])
-    bl = np.multiply(ws.vn[cols], dt, out=f[1])
+    bl = np.multiply(ws.vn[cols], dt, out=f[3])
     np.subtract(lat_j, bl, out=bl)
     bl -= lat_i
     bl *= alpha
-    bo = np.multiply(ws.ve[cols], dt, out=f[3])
+    bo = np.multiply(ws.ve[cols], dt, out=f[4])
     np.subtract(lon_j, bo, out=bo)
     bo -= lon_i
     backward = np.multiply(bl, bl, out=f[5])
@@ -214,6 +310,17 @@ def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.n
     col = col[linked]
     mode = np.where(moving[linked, col], 1, 2).astype(np.int8)
     return rows[linked], cols[linked, col], best[linked], mode
+
+
+def _first_minima(i: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Position of each row's lowest score, its earliest on a tie; the
+    cells of a row are adjacent in ``i``."""
+    head = np.empty(i.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(i[1:], i[:-1], out=head[1:])
+    row = np.cumsum(head) - 1
+    low = np.flatnonzero(score == np.minimum.reduceat(score, np.flatnonzero(head))[row])
+    return low[np.flatnonzero(np.diff(row[low], prepend=-1))]
 
 
 def select_bpnp(ds: TrackDataset, i: int, cfg: CbtrConfig | None = None
@@ -267,29 +374,31 @@ def _first_skipped(ws: _Workspace, rows: np.ndarray, best: np.ndarray) -> np.nda
 
 
 def _score_bands(score, rows: np.ndarray, first: np.ndarray, last: np.ndarray,
-                 cols: np.ndarray) -> None:
-    """Score each of ``rows`` over cols[first:last], each at most _BLOCK_CELLS
-    wide, rows of similar width together: as many per pass as fit
-    _BLOCK_CELLS.  A pass pads its rows to its widest with the columns that
-    follow, clamped to the last column; a padding cell lies after every
-    cell its row has had scored, so it may be scored early."""
+                 kind: np.ndarray) -> None:
+    """Score each of ``rows`` over its columns first:last, each at most
+    _BLOCK_CELLS wide, rows of one ``kind`` and similar width together: as
+    many per pass as fit _BLOCK_CELLS.  A pass pads its rows to its widest
+    with the columns that follow; a padding cell lies after every cell its
+    row has had scored, so it may be scored early."""
     width = last - first
-    order = np.argsort(width, kind="stable")
-    rows, first, width = rows[order], first[order], width[order]
+    order = np.lexsort((width, kind))
+    rows, first, width, kind = rows[order], first[order], width[order], kind[order]
     i = 0
     while i < len(rows):
         # the rows that would fit at width[i] bound the widest of a pass
-        widest = width[min(i + _BLOCK_CELLS // int(width[i]), len(rows)) - 1]
-        j = min(i + max(1, _BLOCK_CELLS // int(widest)), len(rows))
-        band = first[i:j, None] + np.arange(width[j - 1])
-        score(rows[i:j], cols[np.minimum(band, len(cols) - 1)])
+        stop = int(np.searchsorted(kind, kind[i], side="right"))
+        widest = width[min(i + _BLOCK_CELLS // int(width[i]), stop) - 1]
+        j = min(i + max(1, _BLOCK_CELLS // int(widest)), stop)
+        score(rows[i:j], first[i:j], int(width[j - 1]), int(kind[i]))
         i = j
 
 
-def _fill_links(ws: _Workspace, lo: np.ndarray, hi: np.ndarray,
+def _fill_links(ws: _Workspace, columns: tuple[_Columns, _Columns],
+                lo: np.ndarray, hi: np.ndarray,
                 targets: np.ndarray, errors: np.ndarray, modes: np.ndarray,
-                start: int, stop: int) -> None:
-    """Link rows start..stop-1.
+                start: int, stop: int) -> tuple[int, int]:
+    """Link rows start..stop-1 over the _sweep_columns ``columns``; return
+    how many cells were screened and how many were scored in full.
 
     Each row is scored over its window from the start, in rounds of doubling
     width, until it reaches _first_skipped of the best it has found.  Then
@@ -298,14 +407,31 @@ def _fill_links(ws: _Workspace, lo: np.ndarray, hi: np.ndarray,
     those of its earlier passes (cells scored twice never win), and a later
     pass wins only with a strictly lower error, so each row gets the same
     link as one scan of its whole window.
+
+    The cells of a row that has a link already go through _screen first,
+    and only those it keeps are scored in full, as a list of one-cell rows.
+    A row without a link has all its cells scored in full.
     """
     scratch = _Scratch(_BLOCK_CELLS)
+    slow = ws.slow
+    screened = scored = 0
 
-    def score(rows, cols):
-        found, col, err, mode = _score_block(ws, scratch, rows, cols)
-        better = err < errors[found]
-        found = found[better]
-        targets[found], errors[found], modes[found] = col[better], err[better], mode[better]
+    def score(cols, rows, first, width, kind):
+        nonlocal screened, scored
+        if kind & 2:
+            i, j = _screen(ws, scratch, rows, cols, first, width, errors[rows], bool(kind & 1))
+            screened += rows.size * width
+            if not i.size:
+                return
+            found, col, err, mode = _score_block(ws, scratch, i, j[:, None])
+            better = np.flatnonzero(err < errors[found])
+            better = better[_first_minima(found[better], err[better])]
+            found, col, err, mode = found[better], col[better], err[better], mode[better]
+            scored += i.size
+        else:
+            found, col, err, mode = _score_block(ws, scratch, rows, cols.indices(first, width))
+            scored += rows.size * width
+        targets[found], errors[found], modes[found] = col, err, mode
 
     def sweep(rows, first, last_of, cols, width):
         """Score rows over cols from ``first`` up to last_of(positions of the
@@ -318,24 +444,25 @@ def _fill_links(ws: _Workspace, lo: np.ndarray, hi: np.ndarray,
             more = last > reach[going]
             going, last = going[more], last[more]
             end = np.minimum(last, reach[going] + width)
-            _score_bands(score, rows[going], reach[going], end, cols)
+            at = rows[going]
+            # kind: 1 can pair as steady, 2 has a link
+            kind = slow[at] + 2 * (errors[at] < np.inf)
+            _score_bands(partial(score, cols), at, reach[going], end, kind)
             reach[going] = end
             width = min(2 * width, _BLOCK_CELLS)
         return reach
 
-    every_col = np.arange(len(ws.tf))
-    # sog >= 0, so a report faster than moving_speed_sum pairs as moving
-    slow = ws.sog <= ws.cfg.moving_speed_sum
-    steady_cols = np.flatnonzero(slow)
+    every, steady = columns
     # _BLOCK_CELLS rows at a time, so the per-row bookkeeping stays bounded
     for s in range(start, stop, _BLOCK_CELLS):
         rows = np.arange(s, min(stop, s + _BLOCK_CELLS))
         reach = sweep(rows, lo[rows], lambda at: _first_skipped(ws, rows[at], errors[rows[at]]),
-                      every_col, 1)
+                      every, 1)
         pick = slow[rows]
-        last = np.searchsorted(steady_cols, hi[rows][pick])
-        sweep(rows[pick], np.searchsorted(steady_cols, reach[pick]), lambda at: last[at],
-              steady_cols, _BLOCK_CELLS)
+        last = np.searchsorted(steady.index, hi[rows][pick])
+        sweep(rows[pick], np.searchsorted(steady.index, reach[pick]), lambda at: last[at],
+              steady, _BLOCK_CELLS)
+    return screened, scored
 
 
 def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
@@ -356,12 +483,14 @@ def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
     targets = np.full(n, -1, dtype=np.int64)
     errors = np.full(n, np.inf, dtype=np.float64)
     modes = np.zeros(n, dtype=np.int8)
+    # read-only, so every worker shares them
+    columns = _sweep_columns(ws, lo, hi)
     if threads == 1 or n < 2 * threads:
-        _fill_links(ws, lo, hi, targets, errors, modes, 0, n)
+        _fill_links(ws, columns, lo, hi, targets, errors, modes, 0, n)
     else:
         bounds = np.linspace(0, n, threads + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_fill_links, ws, lo, hi, targets, errors, modes,
+            futures = [pool.submit(_fill_links, ws, columns, lo, hi, targets, errors, modes,
                                    int(bounds[w]), int(bounds[w + 1]))
                        for w in range(threads)]
             for f in futures:

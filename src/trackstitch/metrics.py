@@ -140,18 +140,20 @@ class EvalReport:
                 f"{self.n_vessels_estimated},{self.runtime_s:.3f}")
 
 
-def successor_targets(cluster_of: Sequence[int] | np.ndarray) -> list[int | None]:
+def successor_targets(cluster_of: Sequence[int] | np.ndarray) -> np.ndarray:
     """Chain each point to the next report in its own cluster.
 
-    Used to score an assignment when the original link choices are not
-    available, e.g. when evaluating from an assignment file.
+    Returns one index per point, -1 for the last report of a cluster (the
+    ``LinkSet.targets`` convention).  Used to score an assignment when the
+    original link choices are not available, e.g. when evaluating from an
+    assignment file.
     """
-    targets: list[int | None] = [None] * len(cluster_of)
-    last_in_cluster: dict[int, int] = {}
-    for i, cid in enumerate(int(c) for c in cluster_of):
-        if cid in last_in_cluster:
-            targets[last_in_cluster[cid]] = i
-        last_in_cluster[cid] = i
+    labels = np.asarray(cluster_of, dtype=np.int64)
+    # a stable sort keeps each cluster's reports in index order
+    order = np.argsort(labels, kind="stable")
+    same = labels[order[1:]] == labels[order[:-1]]
+    targets = np.full(len(labels), -1, dtype=np.int64)
+    targets[order[:-1][same]] = order[1:][same]
     return targets
 
 

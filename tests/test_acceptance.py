@@ -267,17 +267,17 @@ def test_07_short_window_fragments_gapped_tracks(gaps_runs):
 
 def test_08_near_linear_scaling(s1):
     density = len(s1) / scenario_s1().duration_s
-    medians = []
     sizes = (12_500, 25_000, 50_000)
-    for target in sizes:
-        cfg = replace(scenario_s1(), duration_s=int(round(target / density)))
-        ds = generate_fleet(cfg)
-        times = []
-        for _ in range(5):
+    fleets = [generate_fleet(replace(scenario_s1(), duration_s=int(round(target / density))))
+              for target in sizes]
+    # the sizes take turns, so a drift in CPU speed reaches each of them alike
+    times = [[] for _ in sizes]
+    for _ in range(9):
+        for ds, took in zip(fleets, times):
             start = time.perf_counter()
             run_cbtr(ds, CFG)
-            times.append(time.perf_counter() - start)
-        medians.append(median(times))
+            took.append(time.perf_counter() - start)
+    medians = [median(took) for took in times]
     r1 = medians[1] / medians[0]
     r2 = medians[2] / medians[1]
     ok = r1 <= 2.6 and r2 <= 2.6 and medians[2] < 10.0

@@ -444,3 +444,149 @@ def test_input_order_does_not_matter():
     assert np.array_equal(a.links.targets, b.links.targets)
     assert np.array_equal(a.assignment.cluster_of, b.assignment.cluster_of)
     assert a.report.abnormal == b.report.abnormal
+
+
+def _north_sog(step):
+    """A speed the kernel turns into exactly ``step`` degrees north a second."""
+    sog = step / DEG_LAT_PER_KNOT_S
+    for _ in range(4):
+        got = sog * np.cos(0.0) * DEG_LAT_PER_KNOT_S
+        if got == step:
+            return sog
+        sog = np.nextafter(sog, np.inf if got < step else 0.0)
+    raise AssertionError(f"no speed gives {step} degrees a second")
+
+
+def _fill_counts(ds, cfg):
+    """build_links for one worker, with the cell counts _fill_links reports."""
+    ws = cbtr._Workspace(ds, cfg)
+    lo, hi = cbtr._window_bounds(ds.t, ds.t, cfg.window_s)
+    targets = np.full(len(ds), -1)
+    errors = np.full(len(ds), np.inf)
+    modes = np.zeros(len(ds), dtype=np.int8)
+    counts = cbtr._fill_links(ws, cbtr._sweep_columns(ws, lo, hi), lo, hi, targets, errors, modes, 0, len(ds))
+    return targets, errors, counts
+
+
+# time terms far below an ulp of the offsets, so each score below is its
+# offset terms alone, and every step of it is exact (alpha 1)
+FLOOR_CFG = CbtrConfig(time_weight_moving=2.0**-60, time_weight_steady=2.0**-60)
+DELTA = 2.0**-20
+
+
+def _moving_floor_track(nudge):
+    """Reports 0 to 2 head due north, too fast to pair as steady.  Report 0
+    moves 2**-16 degrees a second.  Reports 1 (2 s on) and 2 (4 s on) lie
+    DELTA north of report 0's dead-reckoned position, and each moves at the
+    speed that takes it back to report 0 exactly, less ``nudge`` degrees
+    for report 1.  So cell (0, 2) scores its bound DELTA**2 / 2, and cell
+    (0, 1) scores (DELTA**2 + nudge**2) / 2."""
+    a = 2.0**-16
+    lat = np.array([37.0, 37.0 + 2 * a + DELTA, 37.0 + 4 * a + DELTA])
+    steps = [a, a + (DELTA - nudge) / 2, a + DELTA / 4]
+    sog = np.array([_north_sog(s) for s in steps])
+    assert (sog > FLOOR_CFG.moving_speed_sum).all()
+    return TrackDataset(t=np.array([0, 2, 4]), lat=lat, lon=np.full(3, -76.0), sog=sog,
+                        cog=np.zeros(3), vids=None, alpha=1.0)
+
+
+def _steady_floor_track(east):
+    """Three docked reports: report 1 (2 s on) lies DELTA north and ``east``
+    degrees east of report 0, report 2 (4 s on) DELTA north of it.  Cell
+    (0, 2) scores its bound DELTA**2, cell (0, 1) DELTA**2 + east**2."""
+    return TrackDataset(t=np.array([0, 2, 4]), lat=np.array([37.0, 37.0 + DELTA, 37.0 + DELTA]),
+                        lon=np.array([-76.0, -76.0 + east, -76.0]), sog=np.zeros(3),
+                        cog=np.zeros(3), vids=None, alpha=1.0)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("cells", [1, 7, 16384])
+@pytest.mark.parametrize("make, best, floor, mode", [
+    # report 1 holds a best one ulp above cell (0, 2)'s bound
+    (lambda: _moving_floor_track(2.0**-46), np.nextafter(DELTA**2 / 2, 1.0), DELTA**2 / 2, 1),
+    # report 1 holds a best equal to cell (0, 2)'s bound
+    (lambda: _moving_floor_track(0.0), DELTA**2 / 2, DELTA**2 / 2, 1),
+    (lambda: _steady_floor_track(2.0**-46), np.nextafter(DELTA**2, 1.0), DELTA**2, 2),
+    (lambda: _steady_floor_track(0.0), DELTA**2, DELTA**2, 2),
+], ids=["moving-bound-one-ulp-below", "moving-bound-equal",
+        "steady-bound-one-ulp-below", "steady-bound-equal"])
+def test_offset_bound_boundary(make, best, floor, mode, cells, threads, monkeypatch):
+    ds = make()
+
+    def alone(k):
+        return replace(ds, **{f: getattr(ds, f)[[0, k]]
+                              for f in ("t", "lat", "lon", "sog", "cog")})
+
+    # cell (0, 2) scores exactly its bound, so it wins only below the best
+    assert select_bpnp(alone(1), 0, FLOOR_CFG)[1] == best
+    assert select_bpnp(alone(2), 0, FLOOR_CFG)[1] == floor
+    winner = 2 if floor < best else 1
+    assert select_bpnp(ds, 0, FLOOR_CFG)[0] == winner
+    monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+    links = build_links(ds, FLOOR_CFG, threads=threads)
+    assert (links.targets[0], links.errors[0], links.modes[0]) == (winner, min(floor, best), mode)
+    # cell (0, 2) is screened against report 1's best, and scored in full
+    # only when its bound is below it
+    _, _, (screened, scored) = _fill_counts(ds, FLOOR_CFG)
+    _, _, (_, scored_alone) = _fill_counts(alone(1), FLOOR_CFG)
+    assert screened >= 1
+    assert scored == scored_alone + 1 + (winner == 2)
+
+
+def _gated_points():
+    """Report 0 heads north at 10 kn.  Report 1 (5 s on) lies 0.002 degrees
+    ahead of its dead-reckoned position and gives it a first link.  Report
+    2 (10 s on) lies just astern of report 0: closer to the dead-reckoned
+    position than anything else, but failing the heading gate.  Report 3
+    (20 s on) lies 0.001 degrees ahead of it and takes the link."""
+    ahead = [reference.advance(37.0, -76.0, 10.0, 0.0, t) for t in (5, 20)]
+    return [AisPoint(0, 37.0, -76.0, 10.0, 0.0),
+            AisPoint(5, ahead[0][0] + 0.002, ahead[0][1], 10.0, 0.0),
+            AisPoint(10, 37.0 - 1e-5, -76.0, 10.0, 0.0),
+            AisPoint(20, ahead[1][0] + 0.001, ahead[1][1], 10.0, 0.0)]
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("cells", [1, 7, 16384])
+def test_lowest_offset_cell_failing_its_gate_does_not_link(cells, threads, monkeypatch):
+    ds = TrackDataset.from_points(_gated_points())
+    pts = reference.pts_of(ds)
+    offsets = [abs(complex(*reference.advance(37.0, -76.0, 10.0, 0.0, int(ds.t[k])))
+                   - complex(ds.lat[k], ds.lon[k])) for k in (1, 2, 3)]
+    assert offsets[1] < offsets[2] < offsets[0]
+    assert reference.pair_score(pts[0], pts[1], ds.alpha, CFG) is not None
+    assert reference.pair_score(pts[0], pts[2], ds.alpha, CFG) is None
+    monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+    links = build_links(ds, CFG, threads=threads)
+    expected = reference.link_all(pts, ds.alpha, CFG)
+    assert expected[0][0] == 3
+    _assert_links_match(links, expected)
+
+
+def test_cell_counts_are_pinned():
+    # cells screened (rows with a link) and cells scored in full (the
+    # screen's survivors and every cell of rows without a link); a change
+    # that stops screening, or screens less, shows here first
+    ds = _dense_fleet()
+    targets, errors, counts = _fill_counts(ds, CFG)
+    links = build_links(ds, CFG)
+    assert np.array_equal(targets, links.targets)
+    assert np.array_equal(errors[targets >= 0], links.errors[targets >= 0])
+    assert counts == (5543, 3727)
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["table-columns", "reversed-table-columns"])
+def test_strided_columns_give_the_same_links(step):
+    # columns sliced from one (n, 4) table are views with a row stride, and
+    # negative when the table is stored in reverse
+    ds = _dense_fleet()
+    stored = np.ascontiguousarray(np.column_stack([ds.lat, ds.lon, ds.sog, ds.cog])[::step])
+    table = stored[::step]
+    strided = replace(ds, lat=table[:, 0], lon=table[:, 1], sog=table[:, 2], cog=table[:, 3])
+    assert strided.lat.strides == (step * 4 * ds.lat.itemsize,)
+    expected = build_links(ds, CFG)
+    for threads in (1, 2):
+        links = build_links(strided, CFG, threads=threads)
+        assert np.array_equal(links.targets, expected.targets)
+        assert np.array_equal(links.modes, expected.modes)
+        assert np.array_equal(links.errors, expected.errors, equal_nan=True)

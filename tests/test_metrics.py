@@ -74,9 +74,11 @@ def test_estimate_recovers_true_count_for_any_partition(pairs):
 
 
 def test_successor_targets_chains_within_cluster():
-    assert successor_targets([0, 1, 0, 1, 2, 0]) == [2, 3, 5, None, None, None]
-    assert successor_targets([0, 1, 2]) == [None, None, None]
-    assert successor_targets([]) == []
+    chained = successor_targets([0, 1, 0, 1, 2, 0])
+    assert chained.dtype == np.int64
+    assert chained.tolist() == [2, 3, 5, -1, -1, -1]
+    assert successor_targets([0, 1, 2]).tolist() == [-1, -1, -1]
+    assert successor_targets([]).tolist() == []
 
 
 def test_successor_targets_score_perfect_clustering():
