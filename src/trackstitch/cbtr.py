@@ -15,17 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kinematics
-from .model import (
-    KNOT_MPS,
-    M_PER_DEG_LON_EQ,
-    CbtrConfig,
-    ClusterAssignment,
-    LinkSet,
-    PairMode,
-    TrackDataset,
-)
-from .kinematics import DEG_LAT_PER_KNOT_S
+from .kinematics import ground_distance_m, turning_cos, velocity
+from .model import CbtrConfig, ClusterAssignment, LinkSet, PairMode, TrackDataset
 
 
 @dataclass(frozen=True)
@@ -70,11 +61,7 @@ class _Workspace:
         self.lat = ds.lat[span]
         self.lon = ds.lon[span]
         self.sog = ds.sog[span]
-        course = np.radians(ds.cog[span])
-        # per-point velocity in degrees per second, matching displace()
-        self.vn = self.sog * np.cos(course) * DEG_LAT_PER_KNOT_S
-        lon_rate = KNOT_MPS / (M_PER_DEG_LON_EQ * np.cos(np.radians(self.lat)))
-        self.ve = self.sog * np.sin(course) * lon_rate
+        self.vn, self.ve = velocity(self.lat, self.sog, ds.cog[span])
         self.alpha = ds.alpha
         # sog >= 0, so a report faster than moving_speed_sum pairs as moving
         self.slow = self.sog <= cfg.moving_speed_sum
@@ -512,28 +499,21 @@ def detect_abnormal(ds: TrackDataset, links: LinkSet,
     targets = links.targets
     no_bpnp = frozenset(np.nonzero(targets < 0)[0].tolist())
     linked = links.linked_indices()
-    if linked.size and cfg.n_abnormal > 0:
-        dt = ds.t[targets[linked]].astype(np.float64) - ds.t[linked]
-        normalized = links.errors[linked] / (dt * dt)
-        order = np.argsort(-normalized, kind="stable")
-        worst = tuple(int(x) for x in linked[order[:cfg.n_abnormal]])
-    else:
-        worst = ()
-    rescued = set()
-    for z in worst:
-        z2 = int(targets[z])
-        z3 = int(targets[z2])
-        if z3 < 0:
-            continue  # no continuation to judge the bend by
-        p, p2, p3 = ds.point(z), ds.point(z2), ds.point(z3)
-        if kinematics.ground_distance_m(p, p2) >= cfg.turn_rescue_dist_m:
-            continue
-        bend = kinematics.turning_cos(p, p2, p3, ds.alpha, cfg.angle_time_weight)
-        if bend >= cfg.turn_rescue_cos_min:
-            rescued.add(z)
-    abnormal = frozenset(set(worst) - rescued) | no_bpnp
-    return AbnormalReport(no_bpnp=no_bpnp, worst_n=worst,
-                          rescued_turns=frozenset(rescued), abnormal=abnormal)
+    dt = ds.t[targets[linked]].astype(np.float64) - ds.t[linked]
+    normalized = links.errors[linked] / (dt * dt)
+    worst = linked[np.argsort(-normalized, kind="stable")[:cfg.n_abnormal]]
+    z2 = targets[worst]
+    z3 = targets[z2]
+    # a turn needs a continuation to judge the bend by
+    judged = (z3 >= 0) & (ground_distance_m(ds.lat[worst], ds.lon[worst], ds.lat[z2], ds.lon[z2])
+                          < cfg.turn_rescue_dist_m)
+    turns = worst[judged]
+    bend = turning_cos(ds, turns, z2[judged], z3[judged], cfg.angle_time_weight)
+    rescued = frozenset(turns[bend >= cfg.turn_rescue_cos_min].tolist())
+    worst = tuple(worst.tolist())
+    abnormal = (frozenset(worst) - rescued) | no_bpnp
+    return AbnormalReport(no_bpnp=no_bpnp, worst_n=worst, rescued_turns=rescued,
+                          abnormal=abnormal)
 
 
 def surviving_targets(links: LinkSet, report: AbnormalReport) -> np.ndarray:

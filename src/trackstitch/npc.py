@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cbtr import components_of
-# the kinematics helpers' constants, for their array forms below
-from .kinematics import DEG_LAT_PER_KNOT_S, KNOT_MPS, M_PER_DEG_LAT, M_PER_DEG_LON_EQ
+from .kinematics import displace, ground_distance_m
 from .model import ClusterAssignment, TrackDataset, label_codes
 
 # classification looks back at most this many reports per label
@@ -62,23 +61,6 @@ class UnclassifiablePointError(ValueError):
         super().__init__(f"no labeled history for {len(indices)} test points: {shown}{more}")
 
 
-def _displace(lat, lon, sog, cog, dt):
-    """kinematics.displace over arrays: the same operations in the same order."""
-    course = np.radians(cog)
-    new_lat = lat + sog * np.cos(course) * DEG_LAT_PER_KNOT_S * dt
-    lon_rate = KNOT_MPS / (M_PER_DEG_LON_EQ * np.cos(np.radians(lat)))
-    new_lon = lon + sog * np.sin(course) * lon_rate * dt
-    return new_lat, new_lon
-
-
-def _ground_m(lat1, lon1, lat2, lon2):
-    """kinematics.ground_distance_coords_m over arrays, up to hypot's last ulp."""
-    mean_lat = np.radians((lat1 + lat2) / 2.0)
-    dy = (lat2 - lat1) * M_PER_DEG_LAT
-    dx = (lon2 - lon1) * M_PER_DEG_LON_EQ * np.cos(mean_lat)
-    return np.hypot(dx, dy)
-
-
 def npc_classify(train: TrackDataset, test: TrackDataset) -> tuple[str, ...]:
     """Label each test report with the vessel whose track best reaches it.
 
@@ -101,12 +83,12 @@ def npc_classify(train: TrackDataset, test: TrackDataset) -> tuple[str, ...]:
         # positions cut-10..cut-1 of the label's history; any below 0 repeat
         # position 0, which is among them whenever cut > 0
         recent = idx[np.maximum(cut[:, None] + np.arange(-RECENT_PER_LABEL, 0), 0)]
-        near = _ground_m(train.lat[recent], train.lon[recent],
-                         test.lat[:, None], test.lon[:, None])
+        near = ground_distance_m(train.lat[recent], train.lon[recent],
+                                 test.lat[:, None], test.lon[:, None])
         sel = recent[np.arange(len(test)), np.argmin(near, axis=1)]
-        est_lat, est_lon = _displace(train.lat[sel], train.lon[sel], train.sog[sel],
-                                     train.cog[sel], test.t - train.t[sel])
-        d = _ground_m(est_lat, est_lon, test.lat, test.lon)
+        est_lat, est_lon = displace(train.lat[sel], train.lon[sel], train.sog[sel],
+                                    train.cog[sel], test.t - train.t[sel])
+        d = ground_distance_m(est_lat, est_lon, test.lat, test.lon)
         better = (cut > 0) & (d < best_d)
         best[better] = code
         best_d[better] = d[better]
@@ -191,9 +173,9 @@ def npc_grouping_targets(ds: TrackDataset, cfg: NpcConfig | None = None) -> np.n
         # the mean course; opposite courses keep the report's own
         avg_cog = np.where((x == 0.0) & (y == 0.0), ds.cog[i],
                            np.degrees(np.arctan2(y, x)) % 360.0)
-        est_lat, est_lon = _displace(ds.lat[i], ds.lon[i], (ds.sog[i] + ds.sog[j]) / 2.0,
-                                     avg_cog, ds.t[j] - ds.t[i])
-        d = _ground_m(est_lat, est_lon, ds.lat[j], ds.lon[j])
+        est_lat, est_lon = displace(ds.lat[i], ds.lon[i], (ds.sog[i] + ds.sog[j]) / 2.0,
+                                    avg_cog, ds.t[j] - ds.t[i])
+        d = ground_distance_m(est_lat, est_lon, ds.lat[j], ds.lon[j])
         targets[a:a + _FIT_ROWS] = j[np.arange(len(j)), np.argmin(d, axis=1)]
     return targets
 

@@ -1,17 +1,18 @@
 """Deterministic fleet simulator emitting labeled AIS-style point sets.
 
 Vessels follow piecewise constant-velocity legs; sampled sog/cog are the
-true leg values, and positions are realized with the same constants the
-predictor uses, so the reports are self-consistent before noise.  Reporting
-cadence depends on behavior: maneuvering vessels report often, steady ones
-slowly, cruising ones mostly at the long end of the configured range.
+true leg values, and positions are realized with the predictor's own dead
+reckoning (kinematics.displace), so the reports are self-consistent before
+noise.  Reporting cadence depends on behavior: maneuvering vessels report
+often, steady ones slowly, cruising ones mostly at the long end of the
+configured range.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .model import (
     KNOT_MPS,
     M_PER_DEG_LAT,
     M_PER_DEG_LON_EQ,
-    AisPoint,
     TrackDataset,
     label_codes,
     latitude_scale,
@@ -81,8 +81,7 @@ class SynthConfig:
             raise ValueError(f"bad gap duration range {self.gap_duration_s}")
 
 
-@dataclass(frozen=True)
-class _Leg:
+class _Leg(NamedTuple):
     t0: int
     lat: float
     lon: float
@@ -128,7 +127,7 @@ def _moving_legs(rng: np.random.Generator, cfg: SynthConfig, sharp: bool) -> lis
         # radius follows speed so the centripetal pull stays mild and a
         # straight-line predictor tracks the arc closely between reports
         accel = rng.uniform(3.0e-3, 8.0e-3)
-        radius_m = float(np.clip((sog * KNOT_MPS) ** 2 / accel, 900.0, 3200.0))
+        radius_m = min(max((sog * KNOT_MPS) ** 2 / accel, 900.0), 3200.0)
     # shrink the loop if the bbox cannot hold it with clearance to spare
     mid_cos = math.cos(math.radians((lat_min + lat_max) / 2.0))
     span_m = min((lat_max - lat_min) * M_PER_DEG_LAT,
@@ -175,9 +174,9 @@ def _moving_legs(rng: np.random.Generator, cfg: SynthConfig, sharp: bool) -> lis
         east_m = (lon - center_lon) * lon_m
         r = math.hypot(north_m, east_m)
         phi = math.degrees(math.atan2(east_m, north_m))
-        correction = float(np.clip(140.0 * (r - radius_m) / radius_m, -14.0, 14.0))
+        correction = min(max(140.0 * (r - radius_m) / radius_m, -14.0), 14.0)
         cog = (phi + sign * (90.0 + correction) + rng.normal(0.0, jitter)) % 360.0
-        sog = float(np.clip(prev.sog + rng.normal(0.0, 0.25), sog_lo, sog_hi))
+        sog = min(max(prev.sog + rng.normal(0.0, 0.25), sog_lo), sog_hi)
         legs.append(_Leg(t, lat, lon, sog, cog))
     return legs
 
@@ -253,9 +252,8 @@ def generate_fleet(cfg: SynthConfig) -> TrackDataset:
     n_steady = sum(a.startswith("steady") for a in archetypes)
     anchors = iter(_place_anchors(rng, cfg, n_steady))
 
-    points: list[AisPoint] = []
-    for v, archetype in enumerate(archetypes):
-        vid = f"V{v:02d}"
+    columns = []
+    for archetype in archetypes:
         if archetype == "transit":
             legs = _moving_legs(rng, cfg, sharp=False)
         elif archetype == "turning":
@@ -265,7 +263,6 @@ def generate_fleet(cfg: SynthConfig) -> TrackDataset:
             legs = [_Leg(0, alat, alon, 0.0, float(rng.uniform(0.0, 360.0)))]
         else:
             legs = _drift_legs(rng, cfg, next(anchors))
-        starts = [leg.t0 for leg in legs]
 
         times = []
         t = int(rng.integers(0, 16))
@@ -283,16 +280,26 @@ def generate_fleet(cfg: SynthConfig) -> TrackDataset:
             times = [s for s in times
                      if not any(a <= s < b for a, b in windows)]
 
-        for s in times:
-            leg = legs[bisect_right(starts, s) - 1]
-            lat, lon = displace(leg.lat, leg.lon, leg.sog, leg.cog, s - leg.t0)
-            if cfg.noise_sigma_m > 0.0:
-                lat = lat + rng.normal(0.0, cfg.noise_sigma_m) / M_PER_DEG_LAT
-                lon = lon + rng.normal(0.0, cfg.noise_sigma_m) / (
-                    M_PER_DEG_LON_EQ * math.cos(math.radians(lat)))
-            points.append(AisPoint(s, lat, lon, leg.sog, leg.cog, vid))
+        # each sample on the leg it falls in, realized in one pass
+        t0, lat0, lon0, sog, cog = map(np.array, zip(*legs))
+        t = np.array(times, dtype=np.int64)
+        leg = np.searchsorted(t0, t, side="right") - 1
+        lat, lon = displace(lat0[leg], lon0[leg], sog[leg], cog[leg], t - t0[leg])
+        if cfg.noise_sigma_m > 0.0:
+            # a lat and a lon draw per sample, in sample order
+            noise = rng.normal(0.0, cfg.noise_sigma_m, size=(len(t), 2))
+            lat = lat + noise[:, 0] / M_PER_DEG_LAT
+            lon = lon + noise[:, 1] / (M_PER_DEG_LON_EQ * np.cos(np.radians(lat)))
+        columns.append((t, lat, lon, sog[leg], cog[leg]))
 
-    return TrackDataset.from_points(points, epoch="0")
+    names = [f"V{v:02d}" for v in range(len(columns))]
+    vessel = np.repeat(np.arange(len(columns)), [len(col[0]) for col in columns])
+    t, lat, lon, sog, cog = map(np.concatenate, zip(*columns))
+    order = np.argsort(t, kind="stable")
+    lat = lat[order]
+    return TrackDataset(t=t[order], lat=lat, lon=lon[order], sog=sog[order], cog=cog[order],
+                        vids=tuple(map(names.__getitem__, vessel[order].tolist())),
+                        alpha=latitude_scale(lat.tolist()), epoch="0")
 
 
 def _vessel_codes(ds: TrackDataset) -> np.ndarray:

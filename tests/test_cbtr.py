@@ -288,10 +288,13 @@ def test_masked_duplicates_raise_no_warnings():
 def test_full_pipeline_matches_reference(seed):
     ds = _dataset(seed, n_vessels=4, duration_s=1500)
     assignment, links, report = run_cbtr(ds, CFG)
-    ref_links, ref_abnormal, ref_labels = reference.run_pipeline(
-        reference.pts_of(ds), ds.alpha, CFG)
+    pts = reference.pts_of(ds)
+    ref_links, ref_abnormal, ref_labels = reference.run_pipeline(pts, ds.alpha, CFG)
     got_targets = [int(x) if x >= 0 else None for x in links.targets]
     assert got_targets == [x[0] if x else None for x in ref_links]
+    worst = reference.worst_ranked(pts, ref_links, CFG)
+    assert list(report.worst_n) == worst
+    assert report.rescued_turns == reference.rescue_set(pts, ref_links, worst, ds.alpha, CFG)
     assert set(report.abnormal) == ref_abnormal
     assert list(assignment.cluster_of) == ref_labels
 
@@ -320,6 +323,24 @@ def test_detect_abnormal_rescues_shallow_bends_only():
     # and is severed; C's target has no onward link to judge a bend by.
     assert report.rescued_turns == frozenset({0})
     assert report.abnormal == frozenset({1, 2, 3})
+
+
+def test_detect_abnormal_needs_a_continuation():
+    """A worst link whose target has no link is never rescued, even where a
+    later report would make a shallow bend with it."""
+    a = (0, 37.0, -76.0, 5.0, 90.0)
+    lat, lon = reference.advance(37.0, -76.0, 5.0, 90.0, 60)
+    b = (60, lat, lon, 5.0, 90.0)
+    # beyond b's window, straight on
+    lat, lon = reference.advance(lat, lon, 5.0, 90.0, 2000)
+    c = (2060, lat, lon, 5.0, 90.0)
+    ds = TrackDataset.from_points([AisPoint(*p) for p in (a, b, c)])
+    links = build_links(ds, CFG)
+    assert list(links.targets) == [1, -1, -1]
+    report = detect_abnormal(ds, links, CFG)
+    assert report.worst_n == (0,)
+    assert report.rescued_turns == frozenset()
+    assert report.abnormal == frozenset({0, 1, 2})
 
 
 def test_assemble_clusters_after_severing():

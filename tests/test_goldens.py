@@ -38,6 +38,13 @@ CLUSTER_SHA256 = {
     },
 }
 SYNTH_S1_SEED7_SHA256 = "107e49a01a08948cb32f0971f3a61278ede9e819942cf7aeef5f5b5a15a87679"
+# the gap filter, and the noise-free branch of the sample realization
+SYNTH_MORE_SHA256 = {
+    "s1-gaps-seed7": (["--scenario", "s1-gaps", "--seed", "7"],
+                      "407cc2bbcc951e490bc7457610dc3c94a26719ddc204189b7f117ebad0a372f5"),
+    "clean-9-seed7": (["--n-vessels", "9", "--seed", "7"],
+                      "d5b8dc98f27799df7430914ee52794c0988775eb14cca43c72d83b4482046404"),
+}
 DOWNSAMPLE_SHA256 = {
     "every-5th": "58ddc3ee263eff43684347fc1035ebf2f9888a1060335c4225533e65bfab52c2",
     "every-2nd": "5228ee441d70e806efd78bd24498160cf8393e37b0a11fd3481c2c84441ea1ca",
@@ -75,10 +82,20 @@ def test_pinned_fleet_has_a_single_report_cluster(pinned_fleet, tmp_path):
     assert 1 in sizes.values()
 
 
+def _synth_sha256(tmp_path, args) -> str:
+    out = tmp_path / "fleet.csv"
+    assert main(["synth", *args, "--out", str(out)]) == 0
+    return _sha256(out)
+
+
 def test_synth_s1_seed7_is_pinned(tmp_path):
-    out = tmp_path / "s1.csv"
-    assert main(["synth", "--scenario", "s1", "--seed", "7", "--out", str(out)]) == 0
-    assert _sha256(out) == SYNTH_S1_SEED7_SHA256
+    assert _synth_sha256(tmp_path, ["--scenario", "s1", "--seed", "7"]) == SYNTH_S1_SEED7_SHA256
+
+
+@pytest.mark.parametrize("fleet", sorted(SYNTH_MORE_SHA256))
+def test_synth_fleet_is_pinned(tmp_path, fleet):
+    args, digest = SYNTH_MORE_SHA256[fleet]
+    assert _synth_sha256(tmp_path, args) == digest
 
 
 @pytest.mark.parametrize("pattern", ["every-5th", "every-2nd"])

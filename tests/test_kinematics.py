@@ -1,19 +1,12 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference
 from trackstitch.cbtr import select_bpnp
-from trackstitch.kinematics import (
-    SpaceTimeVector,
-    cosine,
-    displace,
-    ground_distance_coords_m,
-    ground_distance_m,
-    space_time_vector,
-    turning_cos,
-)
+from trackstitch.kinematics import displace, ground_distance_m, turning_cos
 from trackstitch.model import AisPoint, CbtrConfig, PairMode, TrackDataset
 
 CFG = CbtrConfig()
@@ -44,39 +37,60 @@ def test_displace_short_hops_reverse(lat, lon, sog, cog, dt):
     assert back_lon == pytest.approx(lon, abs=1e-9)
 
 
-def test_space_time_vector_fields():
-    v = space_time_vector(10.0, 0.5, -0.25, 1.2, 1e-5)
-    assert v == SpaceTimeVector(1e-4, 0.6, -0.25)
+_REPORTS = st.lists(
+    st.tuples(st.floats(min_value=-80.0, max_value=80.0),
+              st.floats(min_value=-180.0, max_value=180.0),
+              st.just(0.0) | st.floats(min_value=0.0, max_value=40.0),
+              st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+              st.integers(min_value=-5000, max_value=5000)),
+    min_size=1, max_size=40)
 
 
-def test_cosine_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        cosine(SpaceTimeVector(0.0, 0.0, 0.0), SpaceTimeVector(1.0, 0.0, 0.0))
+@settings(deadline=None)
+@given(_REPORTS, _REPORTS)
+def test_array_forms_match_the_scalar_oracle(starts, ends):
+    """Over arrays, displace is reference.advance bit for bit, and
+    ground_distance_m is reference.ground_m to within np.hypot's last ulp."""
+    lat, lon, sog, cog, dt = (np.array(col) for col in zip(*starts))
+    got_lat, got_lon = displace(lat, lon, sog, cog, dt)
+    for k, report in enumerate(starts):
+        assert (got_lat[k], got_lon[k]) == reference.advance(*report)
+
+    pairs = list(zip(starts, ends))
+    lat1, lon1, lat2, lon2 = (np.array(col) for col in
+                              zip(*((a[0], a[1], b[0], b[1]) for a, b in pairs)))
+    got = ground_distance_m(lat1, lon1, lat2, lon2)
+    for k, (a, b) in enumerate(pairs):
+        expected = reference.ground_m(a[0], a[1], b[0], b[1])
+        assert abs(got[k] - expected) <= np.spacing(expected)
 
 
 def test_turning_cos_straight_and_reverse():
-    a = AisPoint(0, 37.0, -76.0, 5.0, 90.0)
-    b = AisPoint(60, 37.0, -75.99, 5.0, 90.0)
-    c = AisPoint(120, 37.0, -75.98, 5.0, 90.0)
-    assert turning_cos(a, b, c, 1.0, 1e-5) == pytest.approx(1.0, abs=1e-12)
-    back = AisPoint(120, 37.0, -76.0, 5.0, 270.0)
-    assert turning_cos(a, b, back, 1.0, 1e-5) < 0.0
+    ds = TrackDataset.from_points([
+        AisPoint(0, 37.0, -76.0, 5.0, 90.0),
+        AisPoint(60, 37.0, -75.99, 5.0, 90.0),
+        AisPoint(120, 37.0, -75.98, 5.0, 90.0),
+        AisPoint(120, 37.0, -76.0, 5.0, 270.0),
+        AisPoint(180, 37.004, -75.985, 5.0, 30.0),
+    ])
+    bend = turning_cos(ds, np.array([0, 0, 1]), np.array([1, 1, 2]), np.array([2, 3, 4]), 1e-5)
+    assert bend[0] == pytest.approx(1.0, abs=1e-12)
+    assert bend[1] < 0.0
+    # a bend to the north-east: latitude steps count scaled by ds.alpha
+    a, b, c = (reference.pts_of(ds)[k] for k in (1, 2, 4))
+    u = (1e-5 * (b[0] - a[0]), ds.alpha * (b[1] - a[1]), b[2] - a[2])
+    v = (1e-5 * (c[0] - b[0]), ds.alpha * (c[1] - b[1]), c[2] - b[2])
+    assert bend[2] == reference.cos3(u, v)
 
 
 def test_ground_distance_lat_degree():
-    d = ground_distance_coords_m(37.0, -76.0, 37.001, -76.0)
+    d = ground_distance_m(37.0, -76.0, 37.001, -76.0)
     assert d == pytest.approx(111.12, abs=1e-6)
 
 
 def test_ground_distance_lon_at_37():
-    d = ground_distance_coords_m(37.0, -76.0, 37.0, -76.0 + 1e-4)
+    d = ground_distance_m(37.0, -76.0, 37.0, -76.0 + 1e-4)
     assert d == pytest.approx(8.890410497846464, abs=1e-6)
-
-
-def test_ground_distance_point_wrapper():
-    a = AisPoint(0, 37.0, -76.0, 0.0, 0.0)
-    b = AisPoint(1, 37.001, -76.0, 0.0, 0.0)
-    assert ground_distance_m(a, b) == ground_distance_coords_m(37.0, -76.0, 37.001, -76.0)
 
 
 # The pair screening has one implementation, the link kernel.  These tests
