@@ -51,7 +51,7 @@ _BLOCK_CELLS = 32768
 class _Workspace:
     """Per-report arrays of reports start..stop-1, shared by every pass."""
 
-    __slots__ = ("cfg", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow")
+    __slots__ = ("cfg", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt")
 
     def __init__(self, ds: TrackDataset, cfg: CbtrConfig, start: int = 0,
                  stop: int | None = None):
@@ -65,6 +65,11 @@ class _Workspace:
         self.alpha = ds.alpha
         # sog >= 0, so a report faster than moving_speed_sum pairs as moving
         self.slow = self.sog <= cfg.moving_speed_sum
+        # the kernel's moving time term of dt = 1, 2, ... up to the widest
+        # gap a window can hold, computed with the kernel's own operations
+        span = min(cfg.window_s, int(self.tf[-1] - self.tf[0]))
+        self.tt = np.multiply(cfg.time_weight_moving, np.arange(1.0, span + 1))
+        self.tt *= self.tt
 
 
 def _window_bounds(t: np.ndarray, at, window_s: int):
@@ -342,21 +347,11 @@ def _first_skipped(ws: _Workspace, rows: np.ndarray, best: np.ndarray) -> np.nda
     tt = (time_weight_moving * dt)**2 and add only non-negative squares, so
     it is never below tt.  Float rounding is monotone, and tt grows with dt,
     so every moving cell from the first dt with tt >= best on scores at least
-    best; lying after the cell that holds best, it loses a tie as well.  The
-    estimate from sqrt(best) is settled with the kernel's own tt.
+    best; lying after the cell that holds best, it loses a tie as well.
+    ws.tt holds the kernel's own tt of each dt, so that dt is a lookup; past
+    the table's end no column is that far away.
     """
-    w = ws.cfg.time_weight_moving
-    last = ws.cfg.window_s + 1  # no window column is this far away
-
-    def skips(d):
-        tt = w * d
-        return tt * tt >= best
-
-    d = np.clip(np.ceil(np.sqrt(best) / w), 1, last)
-    while (down := (d > 1) & skips(d - 1)).any():
-        d -= down
-    while (up := (d < last) & ~skips(d)).any():
-        d += up
+    d = np.searchsorted(ws.tt, best) + 1
     return np.searchsorted(ws.tf, ws.tf[rows] + d)
 
 

@@ -1,30 +1,21 @@
 """Render cluster assignments as GeoJSON tracks and an SVG label timeline.
 
-Both writers work by column: reports are grouped by a stable sort of their
-cluster (or vessel) label, so each group's members stay in time order.
+Both writers work by column: reports are grouped by ``label_groups``, a
+stable sort of their cluster (or vessel) label, so each group's members
+stay in time order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ClusterAssignment, TrackDataset, index_mask, label_codes
+from .model import ClusterAssignment, TrackDataset, index_mask, label_codes, label_groups
 
 
 def coordinate_text(ds: TrackDataset) -> tuple[list[str], list[str]]:
     """Every lat and lon as float.__repr__ writes it, the form json and the
     assignment CSV share."""
     return list(map(repr, ds.lat.tolist())), list(map(repr, ds.lon.tolist()))
-
-
-def _groups(labels: np.ndarray, n_groups: int) -> tuple[np.ndarray, list[int]]:
-    """Indices sorted by label, ties in index order, and where each label's
-    run starts in them (n_groups + 1 bounds)."""
-    return np.argsort(labels, kind="stable"), _bounds(labels, n_groups)
-
-
-def _bounds(labels: np.ndarray, n_groups: int) -> list[int]:
-    return [0, *np.cumsum(np.bincount(labels, minlength=n_groups)).tolist()]
 
 
 # json.dumps(..., indent=2) layout of the fixed FeatureCollection schema
@@ -55,12 +46,12 @@ def export_geojson(ds: TrackDataset, assignment: ClusterAssignment,
     if len(ds) != len(assignment):
         raise ValueError("dataset and assignment must align")
     lat_text, lon_text = coords or coordinate_text(ds)
-    order, bounds = _groups(assignment.cluster_of, assignment.n_clusters)
+    order, bounds = label_groups(assignment.cluster_of, assignment.n_clusters)
     members = order.tolist()
     points = list(map(_POINT.format, map(lon_text.__getitem__, members),
                       map(lat_text.__getitem__, members)))
     ends = order[index_mask(len(ds), assignment.endpoints)[order]]
-    end_bounds = _bounds(assignment.cluster_of[ends], assignment.n_clusters)
+    _, end_bounds = label_groups(assignment.cluster_of[ends], assignment.n_clusters)
     end_text = list(map(_ENDPOINT.format, ends.tolist()))
     features = []
     for cid in range(assignment.n_clusters):
@@ -74,15 +65,13 @@ def export_geojson(ds: TrackDataset, assignment: ClusterAssignment,
 
 
 def _extents(t: np.ndarray, labels: np.ndarray, n_groups: int) -> tuple[list[int], list[int]]:
-    """First and last report time of each label."""
-    order, bounds = _groups(labels, n_groups)
+    """First and last report time of each label: a dataset's times are
+    sorted, and each label's run keeps its reports in index order."""
+    order, bounds = label_groups(labels, n_groups)
     if len(set(bounds)) != len(bounds):
         raise ValueError("every label needs at least one report")
-    if not n_groups:
-        return [], []
-    ts, starts = t[order], bounds[:-1]
-    return (np.minimum.reduceat(ts, starts).tolist(),
-            np.maximum.reduceat(ts, starts).tolist())
+    edges = np.array(bounds, dtype=np.int64)
+    return t[order[edges[:-1]]].tolist(), t[order[edges[1:] - 1]].tolist()
 
 
 _SVG_STYLE = (

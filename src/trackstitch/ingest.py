@@ -25,7 +25,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .model import TrackDataset, first_bad_report, latitude_scale
+from .model import TrackDataset, first_bad_report
 
 REQUIRED_COLUMNS = ("timestamp", "lat", "lon", "sog", "cog")
 
@@ -183,12 +183,9 @@ def _parse(handle: TextIO, has_labels: bool | None) -> TrackDataset:
         line, _ = next(islice(_data_lines(handle), index, None))
         raise IngestError(f"line {line}: {message}")
 
-    order = np.argsort(raw_t, kind="stable")
-    t0 = int(raw_t[order[0]])
-    lat, lon, sog, cog = (values[order] for values in columns)
-    vids = tuple(table["vid"][order].tolist()) if labeled else None
-    return TrackDataset(t=raw_t[order] - t0, lat=lat, lon=lon, sog=sog, cog=cog,
-                        vids=vids, alpha=latitude_scale(lat.tolist()), epoch=str(t0))
+    t0 = int(raw_t.min())
+    return TrackDataset.from_columns(raw_t - t0, *columns,
+                                     vids=table["vid"] if labeled else None, epoch=str(t0))
 
 
 def _csv_field(value: str) -> str:

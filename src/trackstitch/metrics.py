@@ -17,18 +17,12 @@ def _vessel_codes(vids: Sequence[str | None]) -> tuple[np.ndarray, int]:
     return codes, labels.index(None) if None in labels else -1
 
 
-def _target_array(targets: Sequence[int | None] | np.ndarray) -> np.ndarray:
-    if isinstance(targets, np.ndarray):
-        return targets
-    return np.array([-1 if j is None else j for j in targets], dtype=np.int64)
-
-
-def _neighbor_hits(targets: Sequence[int | None] | np.ndarray,
+def _neighbor_hits(targets: Sequence[int] | np.ndarray,
                    codes: np.ndarray, missing: int) -> tuple[int, int]:
     """(linked reports whose next report shares their vid, linked reports)."""
     if len(targets) != len(codes):
         raise ValueError("targets and vids must align")
-    targets = _target_array(targets)
+    targets = np.asarray(targets, dtype=np.int64)
     src = np.nonzero(targets >= 0)[0]
     src_codes, dst_codes = codes[src], codes[targets[src]]
     unknown = (src_codes == missing) | (dst_codes == missing)
@@ -39,12 +33,12 @@ def _neighbor_hits(targets: Sequence[int | None] | np.ndarray,
     return int(np.count_nonzero(src_codes == dst_codes)), len(src)
 
 
-def correct_neighbor_rate(targets: Sequence[int | None] | np.ndarray,
+def correct_neighbor_rate(targets: Sequence[int] | np.ndarray,
                           vids: Sequence[str]) -> float:
     """Fraction of linked reports whose chosen next report shares their vid.
 
     ``targets`` holds one entry per point: the linked point's index, or
-    None/-1 when the point has no outgoing link.  Unlinked points count in
+    -1 when the point has no outgoing link.  Unlinked points count in
     neither the numerator nor the denominator.
     """
     hits, linked = _neighbor_hits(targets, *_vessel_codes(vids))
@@ -158,7 +152,7 @@ def successor_targets(cluster_of: Sequence[int] | np.ndarray) -> np.ndarray:
 
 
 def build_report(assignment: ClusterAssignment,
-                 targets: Sequence[int | None] | np.ndarray,
+                 targets: Sequence[int] | np.ndarray,
                  vids: Sequence[str], runtime_s: float) -> EvalReport:
     """Assemble the full report for one reconstruction run."""
     codes, missing = _vessel_codes(vids)

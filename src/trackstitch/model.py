@@ -116,13 +116,28 @@ def first_bad_report(lat: np.ndarray, lon: np.ndarray, sog: np.ndarray,
     return i, message.format(float(values[i]))
 
 
+def label_groups(labels: np.ndarray, n_groups: int = 0) -> tuple[np.ndarray, list[int]]:
+    """Indices sorted by label, ties in index order, and where each label's
+    run starts in them: max(n_groups, labels.max() + 1) + 1 bounds."""
+    return (np.argsort(labels, kind="stable"),
+            [0, *np.cumsum(np.bincount(labels, minlength=n_groups)).tolist()])
+
+
+def _check_lengths(t, **columns) -> None:
+    """ValueError unless each column given holds one entry per report time."""
+    for name, values in columns.items():
+        if values is not None and len(values) != len(t):
+            raise ValueError(f"{len(values)} {name} values for {len(t)} report times")
+
+
 @dataclass(frozen=True)
 class TrackDataset:
     """A time-sorted point set stored as parallel column arrays.
 
-    Immutable after construction; the arrays are marked read-only.  Ties in
-    ``t`` keep their original input order.  ``epoch`` is the unix time of
-    t=0 in integer seconds, written as a string.
+    Immutable after construction; the arrays are marked read-only.  Build
+    one with ``from_columns``, which sorts the reports; the constructor
+    rejects times out of order.  ``epoch`` is the unix time of t=0 in
+    integer seconds, written as a string.
     """
 
     t: np.ndarray
@@ -135,6 +150,13 @@ class TrackDataset:
     epoch: str = ""
 
     def __post_init__(self):
+        _check_lengths(self.t, lat=self.lat, lon=self.lon, sog=self.sog, cog=self.cog,
+                       vids=self.vids)
+        late = np.flatnonzero(self.t[1:] < self.t[:-1])
+        if late.size:
+            i = int(late[0]) + 1
+            raise ValueError(f"report {i}: t={self.t[i]} is before the previous "
+                             f"report's t={self.t[i - 1]}; times must be sorted")
         bad = first_bad_report(self.lat, self.lon, self.sog, self.cog)
         if bad is not None:
             raise ValueError(f"report {bad[0]}: {bad[1]}")
@@ -142,23 +164,29 @@ class TrackDataset:
             arr.setflags(write=False)
 
     @classmethod
-    def from_points(cls, points: Sequence[AisPoint], epoch: str = "") -> "TrackDataset":
-        if not points:
-            raise ValueError("dataset needs at least one point")
-        t = np.array([p.t for p in points], dtype=np.int64)
+    def from_columns(cls, t, lat, lon, sog, cog, vids=None, epoch: str = "") -> "TrackDataset":
+        """The reports sorted stably by time, ties in input order, with alpha
+        from their latitudes.  ``vids`` holds one id per report, or is None."""
+        t = np.asarray(t, dtype=np.int64)
+        _check_lengths(t, lat=lat, lon=lon, sog=sog, cog=cog, vids=vids)
         order = np.argsort(t, kind="stable")
-        t = t[order]
-        lat = np.array([p.lat for p in points], dtype=np.float64)[order]
-        lon = np.array([p.lon for p in points], dtype=np.float64)[order]
-        sog = np.array([p.sog for p in points], dtype=np.float64)[order]
-        cog = np.array([p.cog for p in points], dtype=np.float64)[order]
-        with_vid = [p.vid is not None for p in points]
-        if any(with_vid) and not all(with_vid):
-            raise ValueError("either every point carries a vid or none does")
-        vids = tuple(points[i].vid for i in order) if all(with_vid) else None
-        alpha = latitude_scale(lat.tolist())
-        return cls(t=t, lat=lat, lon=lon, sog=sog, cog=cog, vids=vids,
-                   alpha=alpha, epoch=epoch)
+        lat, lon, sog, cog = (np.asarray(values, dtype=np.float64)[order]
+                              for values in (lat, lon, sog, cog))
+        if vids is not None:
+            vids = tuple(np.asarray(vids, dtype=object)[order].tolist())
+        return cls(t=t[order], lat=lat, lon=lon, sog=sog, cog=cog, vids=vids,
+                   alpha=latitude_scale(lat.tolist()), epoch=epoch)
+
+    @classmethod
+    def from_points(cls, points: Sequence[AisPoint], epoch: str = "") -> "TrackDataset":
+        vids = [p.vid for p in points]
+        if None in vids:
+            if vids.count(None) != len(vids):
+                raise ValueError("either every point carries a vid or none does")
+            vids = None
+        return cls.from_columns([p.t for p in points], [p.lat for p in points],
+                                [p.lon for p in points], [p.sog for p in points],
+                                [p.cog for p in points], vids=vids, epoch=epoch)
 
     def __len__(self) -> int:
         return int(self.t.shape[0])

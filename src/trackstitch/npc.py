@@ -14,7 +14,7 @@ import numpy as np
 
 from .cbtr import components_of
 from .kinematics import displace, ground_distance_m
-from .model import ClusterAssignment, TrackDataset, label_codes
+from .model import ClusterAssignment, TrackDataset, label_codes, label_groups
 
 # classification looks back at most this many reports per label
 RECENT_PER_LABEL = 10
@@ -73,8 +73,7 @@ def npc_classify(train: TrackDataset, test: TrackDataset) -> tuple[str, ...]:
         raise ValueError("training data must carry vids")
     distinct, codes = label_codes(train.vids)
     # each label's reports, label by label, in time order within a label
-    members = np.argsort(codes, kind="stable")
-    starts = np.searchsorted(codes[members], np.arange(len(distinct) + 1))
+    members, starts = label_groups(codes, len(distinct))
     best = np.full(len(test), -1, dtype=np.int64)
     best_d = np.full(len(test), np.inf)
     for code in sorted(range(len(distinct)), key=distinct.__getitem__):

@@ -23,7 +23,7 @@ from .model import (
     M_PER_DEG_LON_EQ,
     TrackDataset,
     label_codes,
-    latitude_scale,
+    label_groups,
 )
 
 ARCHETYPES = ("transit", "turning", "steady-docked", "steady-drifting")
@@ -292,14 +292,10 @@ def generate_fleet(cfg: SynthConfig) -> TrackDataset:
             lon = lon + noise[:, 1] / (M_PER_DEG_LON_EQ * np.cos(np.radians(lat)))
         columns.append((t, lat, lon, sog[leg], cog[leg]))
 
-    names = [f"V{v:02d}" for v in range(len(columns))]
+    names = np.array([f"V{v:02d}" for v in range(len(columns))], dtype=object)
     vessel = np.repeat(np.arange(len(columns)), [len(col[0]) for col in columns])
-    t, lat, lon, sog, cog = map(np.concatenate, zip(*columns))
-    order = np.argsort(t, kind="stable")
-    lat = lat[order]
-    return TrackDataset(t=t[order], lat=lat, lon=lon[order], sog=sog[order], cog=cog[order],
-                        vids=tuple(map(names.__getitem__, vessel[order].tolist())),
-                        alpha=latitude_scale(lat.tolist()), epoch="0")
+    return TrackDataset.from_columns(*map(np.concatenate, zip(*columns)),
+                                     vids=names[vessel], epoch="0")
 
 
 def _vessel_codes(ds: TrackDataset) -> np.ndarray:
@@ -310,20 +306,16 @@ def _vessel_codes(ds: TrackDataset) -> np.ndarray:
 def _vessel_rank(codes: np.ndarray) -> np.ndarray:
     """Each report's rank within its vessel: its place in the stable sort by
     vessel, less the place of the vessel's first report there."""
-    order = np.argsort(codes, kind="stable")
-    grouped = codes[order]
+    order, bounds = label_groups(codes)
     rank = np.empty(len(codes), dtype=np.int64)
-    rank[order] = np.arange(len(codes)) - np.searchsorted(grouped, grouped)
+    rank[order] = np.arange(len(codes)) - np.array(bounds)[codes[order]]
     return rank
 
 
 def _subset(ds: TrackDataset, rows: np.ndarray, epoch: str) -> TrackDataset:
-    lat = ds.lat[rows]
-    return TrackDataset(t=ds.t[rows], lat=lat, lon=ds.lon[rows], sog=ds.sog[rows],
-                        cog=ds.cog[rows],
-                        vids=tuple(map(ds.vids.__getitem__, rows.tolist()))
-                        if ds.has_vids() else None,
-                        alpha=latitude_scale(lat.tolist()), epoch=epoch)
+    vids = np.array(ds.vids, dtype=object)[rows] if ds.has_vids() else None
+    return TrackDataset.from_columns(ds.t[rows], ds.lat[rows], ds.lon[rows], ds.sog[rows],
+                                     ds.cog[rows], vids=vids, epoch=epoch)
 
 
 def downsample(ds: TrackDataset, pattern: str) -> TrackDataset:
@@ -344,10 +336,11 @@ def even_odd_split(ds: TrackDataset) -> tuple[TrackDataset, TrackDataset]:
     (odd rank).  Within a timestamp, reports run by vessel in order of first
     appearance, then in dataset order."""
     codes = _vessel_codes(ds)
-    odd = _vessel_rank(codes) % 2 == 1
-    train, test = (_subset(ds, rows[np.lexsort((codes[rows], ds.t[rows]))], "0")
-                   for rows in (np.flatnonzero(~odd), np.flatnonzero(odd)))
-    return train, test
+    # reports by vessel, then by index; the stable sort by time keeps that
+    # order within a timestamp
+    by_vessel, _ = label_groups(codes)
+    odd = (_vessel_rank(codes) % 2 == 1)[by_vessel]
+    return _subset(ds, by_vessel[~odd], "0"), _subset(ds, by_vessel[odd], "0")
 
 
 def scenario_s1(seed: int = S1_SEED) -> SynthConfig:

@@ -153,6 +153,24 @@ def test_cluster_rerun_is_byte_identical(fleet_csv, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_manifest_replays_byte_identical(fleet_csv, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["cluster", str(fleet_csv), "--out", str(a), "--window-s", "300",
+                 "--n-abnormal", "20", "--threads", "2"]) == 0
+    lines = (a / "manifest.txt").read_text().splitlines()
+    # the manifest's command and config lines, each config.key as its --key flag
+    argv = lines[0].removeprefix("command = ").split()
+    for line in lines:
+        if line.startswith("config."):
+            key, value = line.removeprefix("config.").split(" = ")
+            argv += ["--" + key.replace("_", "-"), value]
+    assert argv[:3] == ["cluster", "--algo", "cbtr"]
+    assert "300" in argv and "20" in argv
+    assert main(argv + [str(fleet_csv), "--out", str(b)]) == 0
+    for name in OUT_FILES:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_cluster_npc_algo(fleet_csv, tmp_path, capsys):
     outdir = tmp_path / "npc"
     assert main(["cluster", str(fleet_csv), "--algo", "npc",

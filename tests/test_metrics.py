@@ -19,17 +19,17 @@ def _assignment(labels):
 
 
 def test_rate_counts_only_linked_points():
-    assert correct_neighbor_rate([1, 2, None], ["a", "b", "b"]) == 0.5
-    assert correct_neighbor_rate([1, None, 3, -1], ["a", "a", "b", "b"]) == 1.0
+    assert correct_neighbor_rate([1, 2, -1], ["a", "b", "b"]) == 0.5
+    assert correct_neighbor_rate([1, -1, 3, -1], ["a", "a", "b", "b"]) == 1.0
 
 
 def test_rate_error_paths():
     with pytest.raises(ValueError):
         correct_neighbor_rate([1], ["a", "b"])
     with pytest.raises(ValueError):
-        correct_neighbor_rate([None, -1], ["a", "b"])
+        correct_neighbor_rate([-1, -1], ["a", "b"])
     with pytest.raises(ValueError):
-        correct_neighbor_rate([1, None], ["a", None])
+        correct_neighbor_rate([1, -1], ["a", None])
 
 
 def test_jumps_merges_hand_cases():
@@ -136,7 +136,7 @@ def test_build_report_assembles_everything():
 
 
 def test_build_report_without_links_leaves_rate_undefined():
-    report = build_report(_assignment([0, 1]), [None, -1], ["a", "a"], runtime_s=0.0)
+    report = build_report(_assignment([0, 1]), [-1, -1], ["a", "a"], runtime_s=0.0)
     assert report.correct_neighbor_rate is None
     assert report.to_text().startswith("correct_neighbor_rate = undefined\n")
     assert report.to_csv_row().startswith("undefined,1,0,2,1,1,")

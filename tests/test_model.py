@@ -11,6 +11,7 @@ from trackstitch.model import (
     ClusterAssignment,
     LinkSet,
     TrackDataset,
+    label_groups,
     latitude_scale,
 )
 
@@ -126,6 +127,52 @@ def test_dataset_names_the_first_bad_report():
     with pytest.raises(ValueError) as exc:
         replace(ds, lat=np.array([37.0, 37.0, 95.0]), cog=np.array([0.0, 400.0, 0.0]))
     assert str(exc.value) == "report 1: cog must be in [0, 360), got 400.0"
+
+
+def _columns(n=3):
+    return dict(lat=np.full(n, 37.0), lon=np.full(n, -76.0), sog=np.full(n, 5.0),
+                cog=np.zeros(n))
+
+
+def test_dataset_rejects_times_out_of_order():
+    with pytest.raises(ValueError, match="report 2: t=50 is before the previous report's t=100"):
+        TrackDataset(t=np.array([0, 100, 50, 150]), **_columns(4), vids=None, alpha=1.0)
+
+
+def test_dataset_rejects_vids_of_another_length():
+    with pytest.raises(ValueError, match="1 vids values for 3 report times"):
+        TrackDataset(t=np.arange(3), **_columns(), vids=("a",), alpha=1.0)
+    with pytest.raises(ValueError, match="1 vids values for 3 report times"):
+        TrackDataset.from_columns(np.arange(3), **_columns(), vids=("a",))
+
+
+@pytest.mark.parametrize("build", [
+    lambda t, cols: TrackDataset(t=t, **cols, vids=None, alpha=1.0),
+    lambda t, cols: TrackDataset.from_columns(t, **cols),
+])
+def test_dataset_rejects_columns_of_another_length(build):
+    for n in (2, 4):
+        with pytest.raises(ValueError, match=f"3 lat values for {n} report times"):
+            build(np.arange(n), _columns())
+
+
+def test_from_columns_sorts_stably_and_reorders_vids():
+    ds = TrackDataset.from_columns([30, 0, 30], [37.01, 37.0, 37.02], [-76.1, -76.2, -76.3],
+                                   [4.0, 5.0, 6.0], [90.0, 0.0, 180.0], vids=("b", "a", "c"),
+                                   epoch="5")
+    assert ds.t.tolist() == [0, 30, 30]
+    assert ds.lat.tolist() == [37.0, 37.01, 37.02]
+    assert ds.cog.tolist() == [0.0, 90.0, 180.0]
+    assert ds.vids == ("a", "b", "c")
+    assert ds.alpha == latitude_scale([37.01, 37.0, 37.02])
+    assert ds.epoch == "5"
+
+
+def test_label_groups():
+    order, bounds = label_groups(np.array([2, 0, 2, 0, 0]), 4)
+    assert order.tolist() == [1, 3, 4, 0, 2]
+    assert bounds == [0, 3, 3, 5, 5]
+    assert label_groups(np.array([1, 0]))[1] == [0, 1, 2]
 
 
 def test_dataset_rejects_empty():
