@@ -5,11 +5,10 @@ from .model import (
     CbtrConfig,
     ClusterAssignment,
     LinkSet,
-    PairMode,
     TrackDataset,
 )
 from .ingest import IngestError, parse_ais_csv, write_ais_csv
-from .cbtr import AbnormalReport, CbtrResult, run_cbtr, select_bpnp
+from .cbtr import AbnormalReport, CbtrResult, run_cbtr
 from .npc import NpcConfig, npc_classify, npc_cluster
 from .metrics import EvalReport, correct_neighbor_rate, estimate_vessel_count, jumps_merges
 from .synth import SynthConfig, downsample, generate_fleet, scenario_s1, scenario_s1_gaps
@@ -17,8 +16,8 @@ from .export import export_geojson, export_label_timeline
 
 __all__ = [
     "AisPoint", "TrackDataset", "CbtrConfig", "LinkSet", "ClusterAssignment",
-    "PairMode", "IngestError", "parse_ais_csv", "write_ais_csv",
-    "AbnormalReport", "CbtrResult", "run_cbtr", "select_bpnp",
+    "IngestError", "parse_ais_csv", "write_ais_csv",
+    "AbnormalReport", "CbtrResult", "run_cbtr",
     "NpcConfig", "npc_classify", "npc_cluster",
     "EvalReport", "correct_neighbor_rate", "jumps_merges", "estimate_vessel_count",
     "SynthConfig", "generate_fleet", "downsample", "scenario_s1", "scenario_s1_gaps",

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kinematics import ground_distance_m, turning_cos, velocity
-from .model import CbtrConfig, ClusterAssignment, LinkSet, PairMode, TrackDataset
+from .model import CbtrConfig, ClusterAssignment, LinkSet, TrackDataset
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,15 @@ _BLOCK_CELLS = 32768
 
 
 class _Workspace:
-    """Per-report arrays of reports start..stop-1, shared by every pass."""
+    """Per-report arrays shared by every pass."""
 
     __slots__ = ("cfg", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt")
 
-    def __init__(self, ds: TrackDataset, cfg: CbtrConfig, start: int = 0,
-                 stop: int | None = None):
-        span = slice(start, stop)
+    def __init__(self, ds: TrackDataset, cfg: CbtrConfig):
         self.cfg = cfg
-        self.tf = ds.t[span].astype(np.float64)
-        self.lat = ds.lat[span]
-        self.lon = ds.lon[span]
-        self.sog = ds.sog[span]
-        self.vn, self.ve = velocity(self.lat, self.sog, ds.cog[span])
+        self.tf = ds.t.astype(np.float64)
+        self.lat, self.lon, self.sog = ds.lat, ds.lon, ds.sog
+        self.vn, self.ve = velocity(self.lat, self.sog, ds.cog)
         self.alpha = ds.alpha
         # sog >= 0, so a report faster than moving_speed_sum pairs as moving
         self.slow = self.sog <= cfg.moving_speed_sum
@@ -95,9 +91,9 @@ class _Scratch:
     and each worker holds one pass's worth of memory.
     """
 
-    def __init__(self, cells: int):
-        self.floats = np.empty((12, cells))
-        self.flags = np.empty((3, cells), dtype=bool)
+    def __init__(self):
+        self.floats = np.empty((12, _BLOCK_CELLS))
+        self.flags = np.empty((3, _BLOCK_CELLS), dtype=bool)
 
     def views(self, rows: int, cols: int):
         cells = rows * cols
@@ -315,31 +311,6 @@ def _first_minima(i: np.ndarray, score: np.ndarray) -> np.ndarray:
     return low[np.flatnonzero(np.diff(row[low], prepend=-1))]
 
 
-def select_bpnp(ds: TrackDataset, i: int, cfg: CbtrConfig | None = None
-                ) -> tuple[int, float, PairMode] | None:
-    """Best predicted next point for report i, or None if nothing survives.
-
-    Candidates inside the window are screened per pair: fast pairs by
-    two-sided extrapolation error and heading agreement, slow pairs by raw
-    displacement and closeness to the time axis.  The survivor with the
-    lowest error wins; ties go to the earlier report.
-    """
-    cfg = cfg or CbtrConfig()
-    if not 0 <= i < len(ds):
-        raise IndexError(f"point index {i} out of range")
-    lo, hi = _window_bounds(ds.t, ds.t[i], cfg.window_s)
-    if hi <= lo:
-        return None
-    # only report i and its window are scored, so only they are prepared
-    ws = _Workspace(ds, cfg, i, hi)
-    _, cols, errors, modes = _score_block(ws, _Scratch(hi - lo), np.zeros(1, dtype=np.int64),
-                                          np.arange(lo - i, hi - i)[None])
-    if not cols.size:
-        return None
-    mode = PairMode.MOVING if modes[0] == 1 else PairMode.STEADY
-    return i + int(cols[0]), float(errors[0]), mode
-
-
 def _first_skipped(ws: _Workspace, rows: np.ndarray, best: np.ndarray) -> np.ndarray:
     """Per row, the first column from which no moving cell can take the link.
 
@@ -394,7 +365,7 @@ def _fill_links(ws: _Workspace, columns: tuple[_Columns, _Columns],
     and only those it keeps are scored in full, as a list of one-cell rows.
     A row without a link has all its cells scored in full.
     """
-    scratch = _Scratch(_BLOCK_CELLS)
+    scratch = _Scratch()
     slow = ws.slow
     screened = scored = 0
 
@@ -493,7 +464,7 @@ def detect_abnormal(ds: TrackDataset, links: LinkSet,
     cfg = cfg or CbtrConfig()
     targets = links.targets
     no_bpnp = frozenset(np.nonzero(targets < 0)[0].tolist())
-    linked = links.linked_indices()
+    linked = np.flatnonzero(targets >= 0)
     dt = ds.t[targets[linked]].astype(np.float64) - ds.t[linked]
     normalized = links.errors[linked] / (dt * dt)
     worst = linked[np.argsort(-normalized, kind="stable")[:cfg.n_abnormal]]
@@ -520,12 +491,10 @@ def surviving_targets(links: LinkSet, report: AbnormalReport) -> np.ndarray:
 
 def assemble_clusters(links: LinkSet, report: AbnormalReport) -> ClusterAssignment:
     """Connected components of the surviving links, labeled by components_of."""
-    cluster_of = components_of(surviving_targets(links, report))
-    abnormal = np.fromiter(report.abnormal, dtype=np.int64)
-    severed = frozenset(abnormal[links.targets[abnormal] >= 0].tolist())
-    return ClusterAssignment(cluster_of=cluster_of,
-                             endpoints=severed | report.no_bpnp,
-                             abnormal=severed)
+    # every report without a link is flagged; the other flagged ones are severed
+    return ClusterAssignment(cluster_of=components_of(surviving_targets(links, report)),
+                             endpoints=report.abnormal,
+                             abnormal=report.abnormal - report.no_bpnp)
 
 
 def components_of(targets: np.ndarray) -> np.ndarray:

@@ -191,7 +191,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     test = parse_ais_csv(args.test)
     # both files were rebased to their own start; restore a shared timeline
     base = min(int(train.epoch), int(test.epoch))
-    train, test = (replace(ds, t=ds.t + (int(ds.epoch) - base))
+    train, test = (replace(ds, t=ds.t + (int(ds.epoch) - base), epoch=str(base))
                    for ds in (train, test))
 
     labels = npc_classify(train, test)

@@ -199,10 +199,11 @@ def _csv_field(value: str) -> str:
 def write_ais_csv(ds: TrackDataset, dest: Union[str, Path, TextIO]) -> None:
     """Emit a dataset in the same schema parse_ais_csv accepts.
 
-    Floats are written with shortest round-trip formatting, so a
-    parse -> write -> parse cycle reproduces the fields exactly.
+    Times are written as unix seconds, ``t`` plus the epoch (an empty one
+    counts as 0).  Floats are written with shortest round-trip formatting,
+    so a parse -> write -> parse cycle reproduces the fields exactly.
     """
-    columns = [map(str, ds.t.tolist())]
+    columns = [map(str, (ds.t + int(ds.epoch or 0)).tolist())]
     columns += [map(repr, values.tolist()) for values in (ds.lat, ds.lon, ds.sog, ds.cog)]
     header = ",".join(REQUIRED_COLUMNS)
     if ds.has_vids():

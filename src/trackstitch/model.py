@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,11 +25,16 @@ M_PER_DEG_LAT = 111120.0
 M_PER_DEG_LON_EQ = 111320.0
 
 
-class PairMode(Enum):
-    """How a pair of reports is screened: by motion extrapolation or not."""
-
-    MOVING = "moving"
-    STEADY = "steady"
+# the range checks of a report's values, in the order they run: the value
+# read, whether it passes (for a float or an array of them) and the message
+# of a failure.  NaN fails every check.
+_VALUE_CHECKS = (
+    ("lat", lambda v: (v >= -90.0) & (v <= 90.0), "lat out of range: {}"),
+    ("lon", lambda v: (v >= -180.0) & (v <= 180.0), "lon out of range: {}"),
+    ("sog", lambda v: v >= 0.0, "sog must be >= 0, got {}"),
+    ("sog", lambda v: v != math.inf, "sog must be finite, got {}"),
+    ("cog", lambda v: (v >= 0.0) & (v < 360.0), "cog must be in [0, 360), got {}"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,14 +55,10 @@ class AisPoint:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"lat out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"lon out of range: {self.lon}")
-        if not self.sog >= 0.0:
-            raise ValueError(f"sog must be >= 0, got {self.sog}")
-        if not 0.0 <= self.cog < 360.0:
-            raise ValueError(f"cog must be in [0, 360), got {self.cog}")
+        for name, passes, message in _VALUE_CHECKS:
+            value = getattr(self, name)
+            if not passes(value):
+                raise ValueError(message.format(float(value)))
 
 
 def latitude_scale(lats: Iterable[float]) -> float:
@@ -97,23 +97,18 @@ def first_bad_report(lat: np.ndarray, lon: np.ndarray, sog: np.ndarray,
                      cog: np.ndarray) -> tuple[int, str] | None:
     """Index and message of the first report holding a value out of range.
 
-    Reports are taken in array order; within one, lat is checked before
-    lon, sog and cog.  NaN fails every check.  Link selection relies on a
-    finite, non-negative sog and finite positions and courses.
+    Reports are taken in array order; within one, the checks run in the
+    order of _VALUE_CHECKS.  Link selection relies on a finite, non-negative
+    sog and finite positions and courses.
     """
-    checks = (
-        (lat, ~((lat >= -90.0) & (lat <= 90.0)), "lat out of range: {}"),
-        (lon, ~((lon >= -180.0) & (lon <= 180.0)), "lon out of range: {}"),
-        (sog, ~(sog >= 0.0), "sog must be >= 0, got {}"),
-        (sog, sog == np.inf, "sog must be finite, got {}"),
-        (cog, ~((cog >= 0.0) & (cog < 360.0)), "cog must be in [0, 360), got {}"),
-    )
-    bad = np.logical_or.reduce([mask for _, mask, _ in checks])
+    columns = {"lat": lat, "lon": lon, "sog": sog, "cog": cog}
+    failed = [~passes(columns[name]) for name, passes, _ in _VALUE_CHECKS]
+    bad = np.logical_or.reduce(failed)
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    values, _, message = next(check for check in checks if check[1][i])
-    return i, message.format(float(values[i]))
+    name, _, message = next(check for check, mask in zip(_VALUE_CHECKS, failed) if mask[i])
+    return i, message.format(float(columns[name][i]))
 
 
 def label_groups(labels: np.ndarray, n_groups: int = 0) -> tuple[np.ndarray, list[int]]:
@@ -257,9 +252,6 @@ class LinkSet:
 
     def __len__(self) -> int:
         return int(self.targets.shape[0])
-
-    def linked_indices(self) -> np.ndarray:
-        return np.nonzero(self.targets >= 0)[0]
 
 
 @dataclass(frozen=True)

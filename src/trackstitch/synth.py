@@ -312,10 +312,10 @@ def _vessel_rank(codes: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _subset(ds: TrackDataset, rows: np.ndarray, epoch: str) -> TrackDataset:
+def _subset(ds: TrackDataset, rows: np.ndarray) -> TrackDataset:
     vids = np.array(ds.vids, dtype=object)[rows] if ds.has_vids() else None
     return TrackDataset.from_columns(ds.t[rows], ds.lat[rows], ds.lon[rows], ds.sog[rows],
-                                     ds.cog[rows], vids=vids, epoch=epoch)
+                                     ds.cog[rows], vids=vids, epoch=ds.epoch)
 
 
 def downsample(ds: TrackDataset, pattern: str) -> TrackDataset:
@@ -328,7 +328,7 @@ def downsample(ds: TrackDataset, pattern: str) -> TrackDataset:
         raise ValueError(f"pattern must be one of {PATTERNS}, got {pattern!r}")
     step = 5 if pattern == EVERY_5TH else 2
     keep = (_vessel_rank(_vessel_codes(ds)) + 1) % step != 0
-    return _subset(ds, np.flatnonzero(keep), ds.epoch)
+    return _subset(ds, np.flatnonzero(keep))
 
 
 def even_odd_split(ds: TrackDataset) -> tuple[TrackDataset, TrackDataset]:
@@ -340,7 +340,7 @@ def even_odd_split(ds: TrackDataset) -> tuple[TrackDataset, TrackDataset]:
     # order within a timestamp
     by_vessel, _ = label_groups(codes)
     odd = (_vessel_rank(codes) % 2 == 1)[by_vessel]
-    return _subset(ds, by_vessel[~odd], "0"), _subset(ds, by_vessel[odd], "0")
+    return _subset(ds, by_vessel[~odd]), _subset(ds, by_vessel[odd])
 
 
 def scenario_s1(seed: int = S1_SEED) -> SynthConfig:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import reference
-from trackstitch.cbtr import run_cbtr, select_bpnp
+from trackstitch.cbtr import build_links, run_cbtr
 from trackstitch.cli import main
 from trackstitch.ingest import write_ais_csv
 from trackstitch.metrics import correct_neighbor_rate, estimate_vessel_count, jumps_merges
@@ -114,14 +114,11 @@ def test_01_link_choice_equals_brute_force():
         ds = generate_fleet(_small_config(k))
         assert len(ds) <= 500
         pts = reference.pts_of(ds)
+        targets = build_links(ds, CFG).targets
         for i in range(len(ds)):
             expected = reference.best_next(pts, i, ds.alpha, CFG)
-            got = select_bpnp(ds, i, CFG)
-            if expected is None:
-                assert got is None, f"seed {1000 + k} point {i}"
-            else:
-                assert got is not None and got[0] == expected[0], \
-                    f"seed {1000 + k} point {i}"
+            assert targets[i] == (-1 if expected is None else expected[0]), \
+                f"seed {1000 + k} point {i}"
             total += 1
     elapsed = time.perf_counter() - start
     _verdict(1, "link choice equals brute force", elapsed < 30.0,

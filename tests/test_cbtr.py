@@ -12,18 +12,15 @@ from trackstitch.cbtr import (
     components_of,
     detect_abnormal,
     run_cbtr,
-    select_bpnp,
     surviving_targets,
 )
 from trackstitch.kinematics import DEG_LAT_PER_KNOT_S
-from trackstitch.model import AisPoint, CbtrConfig, PairMode, TrackDataset
+from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
 from trackstitch.synth import SynthConfig, generate_fleet
 
-from conftest import small_mixed_config
+from conftest import MODE_NAME, link_of, small_mixed_config
 
 CFG = CbtrConfig()
-
-MODE_NAME = {1: "moving", 2: "steady", 0: None}
 
 
 def _dataset(seed, **kwargs):
@@ -42,58 +39,48 @@ def test_candidate_window_bounds():
         candidate_window(ds, -1)
 
 
-def test_select_bpnp_no_candidates():
+def test_link_no_candidates():
     ds = TrackDataset.from_points([AisPoint(0, 37.0, -76.0, 5.0, 0.0)])
-    assert select_bpnp(ds, 0) is None
+    assert link_of(ds, 0) is None
 
 
-def test_select_bpnp_steady_screen_rejects_far_pair():
+def test_link_steady_screen_rejects_far_pair():
     # slow pair 5.5 km apart: displacement swamps the time axis
     pts = [AisPoint(0, 37.0, -76.0, 0.0, 0.0),
            AisPoint(100, 37.05, -76.0, 0.0, 0.0)]
     ds = TrackDataset.from_points(pts)
-    assert select_bpnp(ds, 0) is None
+    assert link_of(ds, 0) is None
 
 
-def test_select_bpnp_moving_screen_rejects_candidate_astern():
+def test_link_moving_screen_rejects_candidate_astern():
     pts = [AisPoint(0, 37.0, -76.0, 10.0, 0.0),
            AisPoint(100, 36.99, -76.0, 10.0, 0.0)]
     ds = TrackDataset.from_points(pts)
-    assert select_bpnp(ds, 0) is None
+    assert link_of(ds, 0) is None
 
 
-def test_select_bpnp_tie_takes_first_candidate():
+def test_link_tie_takes_first_candidate():
     lat, lon = reference.advance(37.0, -76.0, 10.0, 0.0, 100)
     pts = [AisPoint(0, 37.0, -76.0, 10.0, 0.0),
            AisPoint(100, lat, lon, 10.0, 0.0),
            AisPoint(100, lat, lon, 10.0, 0.0)]
     ds = TrackDataset.from_points(pts)
-    found = select_bpnp(ds, 0)
+    found = link_of(ds, 0)
     assert found is not None
     j, err, mode = found
     assert j == 1
-    assert mode is PairMode.MOVING
+    assert mode == "moving"
 
 
-@pytest.mark.parametrize("seed", [11, 12, 13, 14])
-def test_select_bpnp_matches_full_scan(seed):
-    ds = _dataset(seed, n_vessels=3, duration_s=900)
-    pts = reference.pts_of(ds)
-    for i in range(len(ds)):
-        expected = reference.best_next(pts, i, ds.alpha, CFG)
-        got = select_bpnp(ds, i, CFG)
-        if expected is None:
-            assert got is None, f"point {i}: library linked, oracle did not"
-        else:
-            assert got is not None, f"point {i}: oracle linked, library did not"
-            assert got[0] == expected[0], f"point {i}: target mismatch"
-            assert got[1] == pytest.approx(expected[1], rel=1e-9)
-            assert got[2].name.lower() == expected[2]
+# seed -> (vessels, duration in s) of the fleet compared with the oracle
+REFERENCE_FLEETS = {**{seed: (3, 900) for seed in range(11, 15)},
+                    **{seed: (4, 1200) for seed in range(21, 29)}}
 
 
-@pytest.mark.parametrize("seed", [21, 22, 23, 24, 25, 26, 27, 28])
+@pytest.mark.parametrize("seed", sorted(REFERENCE_FLEETS))
 def test_build_links_matches_reference(seed):
-    ds = _dataset(seed, n_vessels=4, duration_s=1200)
+    n_vessels, duration_s = REFERENCE_FLEETS[seed]
+    ds = _dataset(seed, n_vessels=n_vessels, duration_s=duration_s)
     _assert_links_match(build_links(ds, CFG),
                         reference.link_all(reference.pts_of(ds), ds.alpha, CFG))
 
@@ -190,19 +177,6 @@ def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
     _assert_links_match(links, expected)
 
 
-def test_build_links_matches_one_row_scans(block_fleet):
-    ds, links, _ = block_fleet
-    for i in range(len(ds)):
-        found = select_bpnp(ds, i, CFG)
-        if found is None:
-            assert (links.targets[i], links.modes[i]) == (-1, 0)
-            assert np.isnan(links.errors[i])
-        else:
-            assert links.targets[i] == found[0], f"point {i}"
-            assert links.errors[i:i + 1].view(np.int64) == np.float64(found[1]).view(np.int64)
-            assert links.modes[i] == (1 if found[2] is PairMode.MOVING else 2)
-
-
 # with a dyadic time weight and alpha 1, every step of the scores below is exact
 EXACT_CFG = CbtrConfig(time_weight_moving=2.0**-20)
 SCORE = 25 * 2.0**-40
@@ -240,10 +214,10 @@ def test_time_bound_boundary(offset_lat, later_dt, later_east, winner, cells, mo
         return replace(ds, **{f: getattr(ds, f)[[0, k]]
                               for f in ("t", "lat", "lon", "sog", "cog")})
 
-    assert select_bpnp(alone(1), 0, EXACT_CFG)[1] == (np.nextafter(SCORE, 1.0) if offset_lat
-                                                      else SCORE)
-    assert select_bpnp(alone(2), 0, EXACT_CFG)[1] == SCORE
-    assert select_bpnp(ds, 0, EXACT_CFG) == (winner, SCORE, PairMode.MOVING)
+    assert link_of(alone(1), 0, EXACT_CFG)[1] == (np.nextafter(SCORE, 1.0) if offset_lat
+                                                  else SCORE)
+    assert link_of(alone(2), 0, EXACT_CFG)[1] == SCORE
+    assert link_of(ds, 0, EXACT_CFG) == (winner, SCORE, "moving")
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
     links = build_links(ds, EXACT_CFG)
     assert (links.targets[0], links.errors[0], links.modes[0]) == (winner, SCORE, 1)
@@ -539,10 +513,10 @@ def test_offset_bound_boundary(make, best, floor, mode, cells, threads, monkeypa
                               for f in ("t", "lat", "lon", "sog", "cog")})
 
     # cell (0, 2) scores exactly its bound, so it wins only below the best
-    assert select_bpnp(alone(1), 0, FLOOR_CFG)[1] == best
-    assert select_bpnp(alone(2), 0, FLOOR_CFG)[1] == floor
+    assert link_of(alone(1), 0, FLOOR_CFG)[1] == best
+    assert link_of(alone(2), 0, FLOOR_CFG)[1] == floor
     winner = 2 if floor < best else 1
-    assert select_bpnp(ds, 0, FLOOR_CFG)[0] == winner
+    assert link_of(ds, 0, FLOOR_CFG)[0] == winner
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
     links = build_links(ds, FLOOR_CFG, threads=threads)
     assert (links.targets[0], links.errors[0], links.modes[0]) == (winner, min(floor, best), mode)

@@ -258,8 +258,8 @@ def test_classify_across_offset_start_times(fleet_csv, tmp_path, capsys):
     assert "accuracy 1.0000" in capsys.readouterr().out
     with open(out, newline="") as handle:
         written = list(csv.reader(handle))[1:]
-    # times are offsets from the earlier of the two starts
-    assert [int(row[1]) for row in written] == [t - t0 for _, t, _ in later]
+    # times are written back as the unix seconds they were read as
+    assert [int(row[1]) for row in written] == [start + t for _, t, _ in later]
     assert [row[0] for row in written] == [vid for vid, _, _ in later]
 
 
@@ -313,6 +313,17 @@ def test_downsample_flow(fleet_csv, tmp_path, capsys):
     full = parse_ais_csv(str(fleet_csv))
     thin = parse_ais_csv(str(out))
     assert len(thin) < len(full)
+
+
+def test_downsample_writes_absolute_times(tmp_path):
+    fleet = tmp_path / "iso.csv"
+    fleet.write_text("timestamp,lat,lon,sog,cog\n" + "".join(
+        f"2024-05-01T00:0{minute}:00Z,37.0,-76.0,0.0,0.0\n" for minute in (0, 4, 8)))
+    out = tmp_path / "thin.csv"
+    assert main(["downsample", str(fleet), "--pattern", "every-2nd", "--out", str(out)]) == 0
+    start = 1714521600  # 2024-05-01T00:00:00Z
+    assert [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]] == \
+        [start, start + 480]
 
 
 def test_error_exit_codes(tmp_path, capsys):

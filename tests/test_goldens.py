@@ -46,8 +46,8 @@ SYNTH_MORE_SHA256 = {
                       "d5b8dc98f27799df7430914ee52794c0988775eb14cca43c72d83b4482046404"),
 }
 DOWNSAMPLE_SHA256 = {
-    "every-5th": "58ddc3ee263eff43684347fc1035ebf2f9888a1060335c4225533e65bfab52c2",
-    "every-2nd": "5228ee441d70e806efd78bd24498160cf8393e37b0a11fd3481c2c84441ea1ca",
+    "every-5th": "f07e127edb53c0d7dcb708bf6d5dfa43b3689ad40bd44b913c83919663898f01",
+    "every-2nd": "1117273a25407cb6bbf86fba304ef57baf77b590b8d7a87cfe38ef591bd3e2ee",
 }
 CLASSIFY_SHA256 = "54404268b6c9375fe318581f582b1aae7f654f1d745f25afe3c2d35a1ed25e59"
 
@@ -104,6 +104,8 @@ def test_downsample_is_pinned(pinned_fleet, tmp_path, pattern):
     assert main(["downsample", str(pinned_fleet), "--pattern", pattern,
                  "--out", str(out)]) == 0
     assert _sha256(out) == DOWNSAMPLE_SHA256[pattern]
+    # thinning keeps whole input rows, times included
+    assert set(out.read_text().splitlines()) < set(pinned_fleet.read_text().splitlines())
 
 
 def test_classify_is_pinned(pinned_fleet, tmp_path):

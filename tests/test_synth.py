@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,9 @@ def test_even_odd_split_alternates_per_vessel():
     assert [int(t) for t in test.t] == [10, 15, 30, 50, 70, 90]
     assert train.vids == ("A", "B", "A", "B", "A", "A", "A")
     assert train.epoch == test.epoch == "0"
+    # both halves keep the dataset's time base
+    halves = even_odd_split(replace(ds, epoch="1714521600"))
+    assert [half.epoch for half in halves] == ["1714521600"] * 2
 
 
 def test_even_odd_split_orders_ties_by_first_appearance():
