@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -43,18 +42,27 @@ class CbtrResult(NamedTuple):
     report: AbnormalReport
 
 
-# report-candidate cells screened per numpy pass at most; a pass takes as
-# many reports as fit this budget over the columns each has left to score
-_BLOCK_CELLS = 32768
+# report-candidate cells scored per numpy pass at most
+_BLOCK_CELLS = 16384
+# window cells (a report and a candidate of its window) per chunk of reports
+# at most; a chunk indexes its candidates once and searches them in rounds
+_CHUNK_CELLS = 2**21
+# the candidate index of a chunk: seconds per time slab, longitude bins
+_SLAB_S = 128
+_LON_BINS = 512
+# a row's bound on its error in the first round; each round raises it 4x
+_START_BOUND = 2.5e-7
 
 
 class _Workspace:
-    """Per-report arrays shared by every pass."""
+    """Per-report arrays shared by every chunk."""
 
-    __slots__ = ("cfg", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt")
+    __slots__ = ("cfg", "t", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt",
+                 "lo", "hi")
 
     def __init__(self, ds: TrackDataset, cfg: CbtrConfig):
         self.cfg = cfg
+        self.t = ds.t
         self.tf = ds.t.astype(np.float64)
         self.lat, self.lon, self.sog = ds.lat, ds.lon, ds.sog
         self.vn, self.ve = velocity(self.lat, self.sog, ds.cog)
@@ -66,6 +74,7 @@ class _Workspace:
         span = min(cfg.window_s, int(self.tf[-1] - self.tf[0]))
         self.tt = np.multiply(cfg.time_weight_moving, np.arange(1.0, span + 1))
         self.tt *= self.tt
+        self.lo, self.hi = _window_bounds(ds.t, ds.t, cfg.window_s)
 
 
 def _window_bounds(t: np.ndarray, at, window_s: int):
@@ -84,346 +93,291 @@ def candidate_window(ds: TrackDataset, i: int, cfg: CbtrConfig | None = None) ->
 
 
 class _Scratch:
-    """Cell buffers that one worker reuses for every pass.
+    """Cell buffers that one worker reuses for every block.
 
-    Scoring a pass then allocates nothing pass-sized, so the pages of its
-    temporaries are faulted in once per worker instead of once per pass,
-    and each worker holds one pass's worth of memory.
+    The kernel's arithmetic then allocates nothing block-sized, so the
+    pages of its temporaries are faulted in once per worker instead of once
+    per block, and each worker holds one block's worth of memory.
     """
 
     def __init__(self):
-        self.floats = np.empty((12, _BLOCK_CELLS))
+        self.floats = np.empty((19, _BLOCK_CELLS))
         self.flags = np.empty((3, _BLOCK_CELLS), dtype=bool)
 
-    def views(self, rows: int, cols: int):
-        cells = rows * cols
-        return (list(self.floats[:, :cells].reshape(-1, rows, cols)),
-                list(self.flags[:, :cells].reshape(-1, rows, cols)))
-
-
-class _Columns:
-    """The candidates one sweep scans, every report or the slow ones.
-
-    ``index`` holds their report indices.  ``report`` and the values the
-    screen reads are copies padded with ``pad`` copies of their last value,
-    so that every band starting before the last column and at most ``pad``
-    columns wide is a window of contiguous memory, whatever the layout of
-    the dataset's arrays.
-    """
-
-    __slots__ = ("index", "report", "tf", "lat", "lon", "sog")
-
-    def __init__(self, ws: _Workspace, index: np.ndarray, pad: int):
-        self.index = index
-        for name in self.__slots__[1:]:
-            values = index if name == "report" else getattr(ws, name)[index]
-            setattr(self, name, np.concatenate((values, np.repeat(values[-1:], pad))))
-
-    @staticmethod
-    def band(values: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
-        """values[first + k] for k < width, one row per entry of ``first``."""
-        return np.lib.stride_tricks.as_strided(
-            values, (values.size - width + 1, width), (values.itemsize,) * 2,
-            writeable=False)[first]
-
-    def indices(self, first: np.ndarray, width: int) -> np.ndarray:
-        """The report index of each value of band()."""
-        return self.band(self.report, first, width)
-
-
-def _sweep_columns(ws: _Workspace, lo: np.ndarray, hi: np.ndarray) -> tuple[_Columns, _Columns]:
-    """The columns of _fill_links' two sweeps: every report, the slow ones.
-
-    A band spans at most one row's window lo:hi and at most _BLOCK_CELLS
-    columns, so that many columns of padding suffice.
-    """
-    pad = min(_BLOCK_CELLS, int(np.max(hi - lo)))
-    return (_Columns(ws, np.arange(len(ws.tf)), pad),
-            _Columns(ws, np.flatnonzero(ws.slow), pad))
-
-
-def _reckon(ws: _Workspace, f: list, rows: np.ndarray, tf_j, lat_j, lon_j):
-    """The first operations on each cell, shared by the screen and the score.
-
-    For report i of each of ``rows`` and candidate j, with j's values given
-    one row per row: the time step dt, i dead-reckoned to j's time (plat,
-    plon) and j's scaled offset from there (fl, fo), into f[0:5].
-    """
-    lat_i, lon_i = ws.lat[rows, None], ws.lon[rows, None]
-    dt = np.subtract(tf_j, ws.tf[rows, None], out=f[0])
-    plat = np.multiply(ws.vn[rows, None], dt, out=f[1])
-    plat += lat_i
-    plon = np.multiply(ws.ve[rows, None], dt, out=f[2])
-    plon += lon_i
-    fl = np.subtract(plat, lat_j, out=f[3])
-    fl *= ws.alpha
-    fo = np.subtract(plon, lon_j, out=f[4])
-    return lat_i, lon_i, dt, plat, plon, fl, fo
-
-
-def _steady_terms(alpha: float, dlat: np.ndarray, dlon: np.ndarray):
-    """The two displacement terms of a steady pair's score."""
-    return (alpha * alpha) * (dlat * dlat), dlon * dlon
-
-
-def _screen(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: _Columns,
-            first: np.ndarray, width: int, best: np.ndarray, mixed: bool):
-    """The cells of ``rows`` over their columns first:first + width of
-    ``cols`` that may beat ``best``, each row's error so far, as flat lists
-    of rows and of report indices.
-
-    A cell is dropped when it lies beyond its row's window, or when a lower
-    bound of its score is at least best: it cannot beat best, and a later
-    pass wins only with a strictly lower error.  A moving score is the mean
-    of a forward error (tt + fl**2) + fo**2 and a backward one that is not
-    negative; a steady score is (ts**2 + lat2) + lon2 (_steady_terms).
-    Float addition of a term that is not negative never rounds a sum down,
-    so a score is at least (fl**2 + fo**2) / 2, or lat2 + lon2.  Without
-    ``mixed`` every row is faster than moving_speed_sum, so every cell pairs
-    as moving.
-    """
-    cfg = ws.cfg
-    f, (keep, steady, _) = scratch.views(len(rows), width)
-    lat_j, lon_j = cols.band(cols.lat, first, width), cols.band(cols.lon, first, width)
-    _, _, dt, _, _, fl, fo = _reckon(ws, f, rows, cols.band(cols.tf, first, width), lat_j, lon_j)
-    floor = np.multiply(fl, fl, out=f[5])
-    floor += np.multiply(fo, fo, out=f[6])
-    floor *= 0.5
-    if mixed:
-        speed_sum = np.add(ws.sog[rows, None], cols.band(cols.sog, first, width), out=f[6])
-        cells = np.flatnonzero(np.less_equal(speed_sum, cfg.moving_speed_sum, out=steady))
-        if cells.size:
-            r = cells // width
-            lat2, lon2 = _steady_terms(ws.alpha, lat_j.ravel()[cells] - ws.lat[rows[r]],
-                                       lon_j.ravel()[cells] - ws.lon[rows[r]])
-            floor.ravel()[cells] = lat2 + lon2
-    np.less(floor, best[:, None], out=keep)
-    # a padding cell may lie beyond its row's window
-    keep &= np.less_equal(dt, cfg.window_s, out=steady)
-    r, c = np.divmod(np.flatnonzero(keep), width)
-    return rows[r], cols.report[first[r] + c]
+    def views(self, cells: int):
+        return list(self.floats[:, :cells]), list(self.flags[:, :cells])
 
 
 def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.ndarray):
-    """Best next report for each of ``rows``, searched in its row of ``cols``.
+    """Best next report of each row among its cells (rows[k], cols[k]).
 
-    ``cols`` holds one ascending row of column indices per row; all cells
-    are scored at once, and cells outside a row's own window are masked.
-    Times are sorted whole seconds, so a cell is inside exactly when
-    1 <= dt <= window_s.  Every cell goes through the same operations in the
-    same order whichever pass holds it, so results do not depend on how rows
-    and columns are split into passes.  Returns the linked rows with their
-    target column, error and mode (1 moving, 2 steady); ties go to the
-    earliest column.
+    Every cell lies inside its row's window, no cell repeats, and the cells
+    of a row are adjacent.  Each cell goes through the same operations in
+    the same order whichever block holds it, so results do not depend on
+    how cells are split into blocks.  Returns the rows with a cell that
+    passes its gates, with the best one's column, error and mode (1 moving,
+    2 steady); ties go to the lowest column.
     """
     cfg = ws.cfg
     alpha = ws.alpha
     # each result goes into a buffer whose previous content is no longer read
-    f, (inside, moving, keep) = scratch.views(len(rows), cols.shape[1])
-    lat_j, lon_j = ws.lat[cols], ws.lon[cols]
-    lat_i, lon_i, dt, plat, plon, fl, fo = _reckon(ws, f, rows, ws.tf[cols], lat_j, lon_j)
-    np.greater_equal(dt, 1, out=inside)
-    inside &= np.less_equal(dt, cfg.window_s, out=keep)
-    speed_sum = np.add(ws.sog[rows, None], ws.sog[cols], out=f[5])
+    f, (moving, keep, low) = scratch.views(len(rows))
+
+    def take(values, at, k):
+        return np.take(values, at, out=f[k], mode="clip")
+
+    lat_i, lon_i = take(ws.lat, rows, 0), take(ws.lon, rows, 1)
+    lat_j, lon_j = take(ws.lat, cols, 2), take(ws.lon, cols, 3)
+    dt = take(ws.tf, cols, 4)
+    dt -= take(ws.tf, rows, 5)
+    speed_sum = take(ws.sog, rows, 5)
+    speed_sum += take(ws.sog, cols, 6)
     np.greater(speed_sum, cfg.moving_speed_sum, out=moving)
 
     # direction of the pair in scaled space-time
-    dlat = np.subtract(lat_j, lat_i, out=f[5])
-    dlon = np.subtract(lon_j, lon_i, out=f[6])
-    vtau = np.multiply(cfg.angle_time_weight, dt, out=f[7])
-    vv = np.multiply(vtau, vtau, out=f[8])
-    vlat = np.multiply(alpha, dlat, out=f[9])
-    vnorm = np.multiply(vlat, vlat, out=f[10])
+    dlat = np.subtract(lat_j, lat_i, out=f[6])
+    dlon = np.subtract(lon_j, lon_i, out=f[7])
+    vtau = np.multiply(cfg.angle_time_weight, dt, out=f[8])
+    vv = np.multiply(vtau, vtau, out=f[9])
+    vlat = np.multiply(alpha, dlat, out=f[10])
+    vnorm = np.multiply(vlat, vlat, out=f[11])
     np.add(vv, vnorm, out=vnorm)
-    vnorm += np.multiply(dlon, dlon, out=f[11])
+    vnorm += np.multiply(dlon, dlon, out=f[12])
     np.sqrt(vnorm, out=vnorm)
 
     # slow pairs: raw displacement, gated by closeness to the time axis;
-    # only the cells screened as steady are evaluated
+    # only the cells that pair as steady are evaluated, packed into f[14:19]
     np.logical_not(moving, out=keep)
-    keep &= inside
-    steady = np.flatnonzero(keep)
-    if steady.size:
-        ts = cfg.time_weight_steady * dt.ravel()[steady]
-        lat2, lon2 = _steady_terms(alpha, dlat.ravel()[steady], dlon.ravel()[steady])
-        d0 = ts * ts + lat2 + lon2
-        cos_steady = vtau.ravel()[steady] / vnorm.ravel()[steady]
-        steady_score = np.where(cos_steady >= cfg.cos_steady_min, d0, np.inf)
+    steady = np.count_nonzero(keep)
+    if steady:
+        ts, lat2, lon2, cos_steady, norm = (np.compress(keep, x, out=f[k][:steady])
+                                            for k, x in enumerate((dt, dlat, dlon, vtau, vnorm),
+                                                                  14))
+        ts *= cfg.time_weight_steady
+        d0 = np.multiply(ts, ts, out=ts)
+        lat2 *= lat2
+        lat2 *= alpha * alpha
+        d0 += lat2
+        lon2 *= lon2
+        d0 += lon2
+        cos_steady /= norm
+        gated = np.greater_equal(cos_steady, cfg.cos_steady_min, out=low[:steady])
+        np.putmask(d0, np.logical_not(gated, out=gated), np.inf)
 
     # fast pairs: heading agreement of i's dead-reckoned step with the pair
-    ulat = np.subtract(plat, lat_i, out=f[1])
+    plat = take(ws.vn, rows, 5)
+    plat *= dt
+    plat += lat_i
+    plon = take(ws.ve, rows, 6)
+    plon *= dt
+    plon += lon_i
+    ulat = np.subtract(plat, lat_i, out=f[8])
     ulat *= alpha
-    ulon = np.subtract(plon, lon_i, out=f[2])
-    dot = np.multiply(ulat, vlat, out=f[11])
+    ulon = np.subtract(plon, lon_i, out=f[12])
+    dot = np.multiply(ulat, vlat, out=f[10])
     np.add(vv, dot, out=dot)
-    dot += np.multiply(ulon, dlon, out=f[5])
-    unorm = np.multiply(ulat, ulat, out=f[9])
+    dot += np.multiply(ulon, dlon, out=f[13])
+    unorm = np.multiply(ulat, ulat, out=f[8])
     np.add(vv, unorm, out=unorm)
-    unorm += np.multiply(ulon, ulon, out=f[5])
+    unorm += np.multiply(ulon, ulon, out=f[13])
     np.sqrt(unorm, out=unorm)
     unorm *= vnorm
-    # masked cells at i's own time and place are 0/0; they never score
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_moving = np.divide(dot, unorm, out=dot)
+    cos_moving = np.divide(dot, unorm, out=dot)
     np.greater(cos_moving, cfg.cos_moving_min, out=keep)
     keep &= moving
-    keep &= inside
 
     # two-sided dead-reckoning error: i forward to j's time, j back to i's
-    tt = np.multiply(cfg.time_weight_moving, dt, out=f[1])
+    fl = np.subtract(plat, lat_j, out=plat)
+    fl *= alpha
+    fo = np.subtract(plon, lon_j, out=plon)
+    tt = np.multiply(cfg.time_weight_moving, dt, out=f[7])
     tt *= tt
-    forward = np.multiply(fl, fl, out=f[2])
+    forward = np.multiply(fl, fl, out=fl)
     np.add(tt, forward, out=forward)
-    forward += np.multiply(fo, fo, out=f[5])
-    bl = np.multiply(ws.vn[cols], dt, out=f[3])
+    forward += np.multiply(fo, fo, out=fo)
+    bl = take(ws.vn, cols, 8)
+    bl *= dt
     np.subtract(lat_j, bl, out=bl)
     bl -= lat_i
     bl *= alpha
-    bo = np.multiply(ws.ve[cols], dt, out=f[4])
+    bo = take(ws.ve, cols, 9)
+    bo *= dt
     np.subtract(lon_j, bo, out=bo)
     bo -= lon_i
-    backward = np.multiply(bl, bl, out=f[5])
+    backward = np.multiply(bl, bl, out=bl)
     np.add(tt, backward, out=backward)
-    backward += np.multiply(bo, bo, out=f[6])
+    backward += np.multiply(bo, bo, out=bo)
     score = np.add(forward, backward, out=forward)
     score *= 0.5
 
     np.logical_not(keep, out=keep)
     np.putmask(score, keep, np.inf)
-    if steady.size:
-        score.ravel()[steady] = steady_score
-    col = np.argmin(score, axis=1)
-    best = score[np.arange(len(rows)), col]
-    linked = np.flatnonzero(best < np.inf)
-    col = col[linked]
-    mode = np.where(moving[linked, col], 1, 2).astype(np.int8)
-    return rows[linked], cols[linked, col], best[linked], mode
+    if steady:
+        np.place(score, np.logical_not(moving, out=keep), d0)
+    hit = np.flatnonzero(score < np.inf)
+    if not hit.size:
+        return rows[:0], cols[:0], score[:0], np.zeros(0, dtype=np.int8)
+    best = hit[_first_minima(rows[hit], score[hit], cols[hit])]
+    return rows[best], cols[best], score[best], np.where(moving[best], 1, 2).astype(np.int8)
 
 
-def _first_minima(i: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Position of each row's lowest score, its earliest on a tie; the
-    cells of a row are adjacent in ``i``."""
+def _first_minima(i: np.ndarray, score: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Position of each row's lowest score, at its lowest column on a tie;
+    the cells of a row are adjacent in ``i``, and no column repeats within
+    a row."""
     head = np.empty(i.size, dtype=bool)
     head[:1] = True
     np.not_equal(i[1:], i[:-1], out=head[1:])
     row = np.cumsum(head) - 1
     low = np.flatnonzero(score == np.minimum.reduceat(score, np.flatnonzero(head))[row])
-    return low[np.flatnonzero(np.diff(row[low], prepend=-1))]
+    first = np.minimum.reduceat(col[low], np.flatnonzero(np.diff(row[low], prepend=-1)))
+    return low[col[low] == first[row[low]]]
 
 
-def _first_skipped(ws: _Workspace, rows: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Per row, the first column from which no moving cell can take the link.
+class _Index:
+    """One chunk's candidate columns first..stop-1, sorted by (time slab,
+    longitude bin) and ascending within each, so that the columns of one
+    slab over a run of bins are one contiguous run of ``cols``."""
 
-    A moving score is the mean of two terms that each start from the kernel's
-    tt = (time_weight_moving * dt)**2 and add only non-negative squares, so
-    it is never below tt.  Float rounding is monotone, and tt grows with dt,
-    so every moving cell from the first dt with tt >= best on scores at least
-    best; lying after the cell that holds best, it loses a tie as well.
-    ws.tt holds the kernel's own tt of each dt, so that dt is a lookup; past
-    the table's end no column is that far away.
-    """
-    d = np.searchsorted(ws.tt, best) + 1
-    return np.searchsorted(ws.tf, ws.tf[rows] + d)
+    def __init__(self, ws: _Workspace, first: int, stop: int):
+        t, lon = ws.t[first:stop], ws.lon[first:stop]
+        self.t0 = t[0]
+        self.slabs = (t[-1] - self.t0) // _SLAB_S + 1
+        self.lon0 = lon.min()
+        # a span of 0 puts every column in bin 0
+        self.scale = _LON_BINS / max(lon.max() - self.lon0, 1e-200)
+        key = (t - self.t0) // _SLAB_S * _LON_BINS + self.bin(lon)
+        order = np.argsort(key, kind="stable")
+        self.key, self.cols = key[order], first + order
+
+    def bin(self, lon: np.ndarray) -> np.ndarray:
+        """Longitude bin of each value: a non-decreasing function of it."""
+        return np.clip((lon - self.lon0) * self.scale, 0, _LON_BINS - 1).astype(np.int64)
+
+    def tube(self, ws: _Workspace, rows: np.ndarray, bound: float):
+        """The runs of ``cols`` that hold every cell of ``rows`` that may
+        score below ``bound``, as (position in rows, first, stop), row by
+        row; they may hold cells outside a row's window as well.
+
+        A moving cell scores at least its time term and at least fo**2 / 2,
+        a steady one at least dlon**2.  So a moving cell below the bound
+        lies up to ``reach`` seconds on, with a longitude within ``radius``
+        of the row's dead-reckoned one, and a steady one within ``radius``
+        of the row's own longitude.
+        """
+        # dt <= reach exactly where the kernel's time term is below bound
+        reach = int(np.searchsorted(ws.tt, bound))
+        radius = np.sqrt(2.0 * bound) * (1 + 2.0**-40)
+        t = ws.t[rows]
+        # a slow row may pair as steady anywhere in its window
+        end = t + np.where(ws.slow[rows], ws.cfg.window_s, reach)
+        first_slab = (t + 1 - self.t0) // _SLAB_S
+        count = np.where(end > t, np.minimum((end - self.t0) // _SLAB_S, self.slabs - 1)
+                         - first_slab + 1, 0)
+        at = np.repeat(np.arange(rows.size), count)
+        slab = np.arange(at.size) + np.repeat(first_slab - np.cumsum(count) + count, count)
+        # the moving cells of each slab lie within its clipped span of dt;
+        # the kernel's dead reckoning is monotone in dt, so the span's ends
+        # bound it
+        start = slab * _SLAB_S + self.t0
+        ta = np.maximum(start, (t + 1)[at])
+        tb = np.minimum(start + (_SLAB_S - 1), (t + reach)[at])
+        tf, ve, lon = ws.tf[rows][at], ws.ve[rows][at], ws.lon[rows][at]
+        west = ve * (ta - tf) + lon
+        east = ve * (tb - tf) + lon
+        west, east = np.minimum(west, east), np.maximum(west, east)
+        # past reach a slow row's slab holds only its steady cells
+        slow = np.flatnonzero(ws.slow[rows][at])
+        if slow.size:
+            moving = ta[slow] <= tb[slow]
+            lon = lon[slow]
+            west[slow] = np.where(moving, np.minimum(west[slow], lon), lon)
+            east[slow] = np.where(moving, np.maximum(east[slow], lon), lon)
+        key = slab * _LON_BINS
+        first = np.searchsorted(self.key, key + self.bin(np.nextafter(west - radius, -np.inf)))
+        stop = np.searchsorted(self.key, key + self.bin(np.nextafter(east + radius, np.inf)),
+                               side="right")
+        kept = np.flatnonzero(stop > first)
+        return at[kept], first[kept], stop[kept]
 
 
-def _score_bands(score, rows: np.ndarray, first: np.ndarray, last: np.ndarray,
-                 kind: np.ndarray) -> None:
-    """Score each of ``rows`` over its columns first:last, each at most
-    _BLOCK_CELLS wide, rows of one ``kind`` and similar width together: as
-    many per pass as fit _BLOCK_CELLS.  A pass pads its rows to its widest
-    with the columns that follow; a padding cell lies after every cell its
-    row has had scored, so it may be scored early."""
-    width = last - first
-    order = np.lexsort((width, kind))
-    rows, first, width, kind = rows[order], first[order], width[order], kind[order]
-    i = 0
-    while i < len(rows):
-        # the rows that would fit at width[i] bound the widest of a pass
-        stop = int(np.searchsorted(kind, kind[i], side="right"))
-        widest = width[min(i + _BLOCK_CELLS // int(width[i]), stop) - 1]
-        j = min(i + max(1, _BLOCK_CELLS // int(widest)), stop)
-        score(rows[i:j], first[i:j], int(width[j - 1]), int(kind[i]))
-        i = j
+def _blocks(first: np.ndarray, stop: np.ndarray):
+    """Split the runs first[k]:stop[k] into blocks of at most _BLOCK_CELLS
+    positions; yield each block's run numbers and positions, in order."""
+    # laid end to end, run k takes the places starts[k]:ends[k]
+    ends = np.cumsum(stop - first)
+    starts = ends - (stop - first)
+    shift = first - starts
+    total = int(ends[-1]) if ends.size else 0
+    for p in range(0, total, _BLOCK_CELLS):
+        q = min(p + _BLOCK_CELLS, total)
+        k0 = int(np.searchsorted(ends, p, side="right"))
+        k1 = int(np.searchsorted(ends, q, side="left")) + 1
+        size = np.minimum(ends[k0:k1], q) - np.maximum(starts[k0:k1], p)
+        run = np.repeat(np.arange(k0, k1), size)
+        yield run, np.arange(p, q) + shift[run]
 
 
-def _fill_links(ws: _Workspace, columns: tuple[_Columns, _Columns],
-                lo: np.ndarray, hi: np.ndarray,
-                targets: np.ndarray, errors: np.ndarray, modes: np.ndarray,
-                start: int, stop: int) -> tuple[int, int]:
-    """Link rows start..stop-1 over the _sweep_columns ``columns``; return
-    how many cells were screened and how many were scored in full.
+def _link_chunks(ws: _Workspace, chunks: list[tuple[int, int]],
+                 targets: np.ndarray, errors: np.ndarray, modes: np.ndarray) -> tuple[int, int]:
+    """Link the rows start..stop-1 of each chunk; return how many rounds
+    ran and how many cells were scored.
 
-    Each row is scored over its window from the start, in rounds of doubling
-    width, until it reaches _first_skipped of the best it has found.  Then
-    each row that can pair as steady goes on over the columns that can, to
-    the end of its window.  Each pass of a row covers the columns after
-    those of its earlier passes (cells scored twice never win), and a later
-    pass wins only with a strictly lower error, so each row gets the same
-    link as one scan of its whole window.
-
-    The cells of a row that has a link already go through _screen first,
-    and only those it keeps are scored in full, as a list of one-cell rows.
-    A row without a link has all its cells scored in full.
+    Each round gives every pending row the same bound: _START_BOUND at
+    first, 4x in each later round.  It scores each row's cells in the
+    _Index.tube that holds every cell that may score below it.  A row is
+    done once its best is below the bound, since every cell that could
+    beat it or tie with it has been scored, or once its tube has covered
+    its whole window.  A new best replaces the old one when its error is
+    lower, or equal at a lower column, so each row gets the same link as
+    one scan of its whole window.
     """
     scratch = _Scratch()
-    slow = ws.slow
-    screened = scored = 0
+    rounds = scored = 0
+    for start, stop in chunks:
+        rows = np.arange(start, stop)
+        rows = rows[ws.hi[rows] > ws.lo[rows]]
+        if not rows.size:
+            continue
+        index = _Index(ws, int(ws.lo[rows[0]]), int(ws.hi[rows[-1]]))
+        bound = _START_BOUND
+        while rows.size:
+            at, first, last = index.tube(ws, rows, bound)
+            seen = np.zeros(rows.size, dtype=np.int64)
+            for run, pos in _blocks(first, last):
+                row, col = rows[at[run]], index.cols[pos]
+                inside = np.flatnonzero((col >= ws.lo[row]) & (col < ws.hi[row]))
+                row, col = row[inside], col[inside]
+                seen += np.bincount(at[run[inside]], minlength=rows.size)
+                scored += row.size
+                found, col, err, mode = _score_block(ws, scratch, row, col)
+                held = errors[found]
+                better = (err < held) | ((err == held) & (col < targets[found]))
+                found = found[better]
+                targets[found], errors[found], modes[found] = col[better], err[better], mode[better]
+            rounds += 1
+            pending = (errors[rows] >= bound) & (seen < ws.hi[rows] - ws.lo[rows])
+            rows = rows[pending]
+            bound *= 4
+    return rounds, scored
 
-    def score(cols, rows, first, width, kind):
-        nonlocal screened, scored
-        if kind & 2:
-            i, j = _screen(ws, scratch, rows, cols, first, width, errors[rows], bool(kind & 1))
-            screened += rows.size * width
-            if not i.size:
-                return
-            found, col, err, mode = _score_block(ws, scratch, i, j[:, None])
-            better = np.flatnonzero(err < errors[found])
-            better = better[_first_minima(found[better], err[better])]
-            found, col, err, mode = found[better], col[better], err[better], mode[better]
-            scored += i.size
-        else:
-            found, col, err, mode = _score_block(ws, scratch, rows, cols.indices(first, width))
-            scored += rows.size * width
-        targets[found], errors[found], modes[found] = col, err, mode
 
-    def sweep(rows, first, last_of, cols, width):
-        """Score rows over cols from ``first`` up to last_of(positions of the
-        rows still going), in rounds of doubling width; return where each
-        row stopped."""
-        reach = first.copy()
-        going = np.arange(len(rows))
-        while going.size:
-            last = last_of(going)
-            more = last > reach[going]
-            going, last = going[more], last[more]
-            end = np.minimum(last, reach[going] + width)
-            at = rows[going]
-            # kind: 1 can pair as steady, 2 has a link
-            kind = slow[at] + 2 * (errors[at] < np.inf)
-            _score_bands(partial(score, cols), at, reach[going], end, kind)
-            reach[going] = end
-            width = min(2 * width, _BLOCK_CELLS)
-        return reach
-
-    every, steady = columns
-    # _BLOCK_CELLS rows at a time, so the per-row bookkeeping stays bounded
-    for s in range(start, stop, _BLOCK_CELLS):
-        rows = np.arange(s, min(stop, s + _BLOCK_CELLS))
-        reach = sweep(rows, lo[rows], lambda at: _first_skipped(ws, rows[at], errors[rows[at]]),
-                      every, 1)
-        pick = slow[rows]
-        last = np.searchsorted(steady.index, hi[rows][pick])
-        sweep(rows[pick], np.searchsorted(steady.index, reach[pick]), lambda at: last[at],
-              steady, _BLOCK_CELLS)
-    return screened, scored
+def _chunks(ws: _Workspace) -> list[tuple[int, int]]:
+    """Contiguous runs of rows: the rows whose earlier rows' window cells
+    number k * _CHUNK_CELLS up to (k + 1) * _CHUNK_CELLS form chunk k."""
+    cells = ws.hi - ws.lo
+    before = np.cumsum(cells) - cells
+    starts = np.flatnonzero(np.diff(before // _CHUNK_CELLS, prepend=-1))
+    bounds = np.append(starts, len(cells)).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
                 threads: int = 1) -> LinkSet:
-    """Run link selection for every report, many reports per numpy pass.
+    """Run link selection for every report, chunk by chunk.
 
-    Worker count only splits the index range; the result is identical for
-    any value.
+    Workers take contiguous runs of chunks; the result is identical for any
+    worker count.
     """
     cfg = cfg or CbtrConfig()
     if len(ds) == 0:
@@ -431,21 +385,18 @@ def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
     if threads < 1:
         raise ValueError("threads must be >= 1")
     ws = _Workspace(ds, cfg)
-    lo, hi = _window_bounds(ds.t, ds.t, cfg.window_s)
     n = len(ds)
     targets = np.full(n, -1, dtype=np.int64)
     errors = np.full(n, np.inf, dtype=np.float64)
     modes = np.zeros(n, dtype=np.int8)
-    # read-only, so every worker shares them
-    columns = _sweep_columns(ws, lo, hi)
-    if threads == 1 or n < 2 * threads:
-        _fill_links(ws, columns, lo, hi, targets, errors, modes, 0, n)
+    chunks = _chunks(ws)
+    if threads == 1 or len(chunks) < 2:
+        _link_chunks(ws, chunks, targets, errors, modes)
     else:
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
+        bounds = np.linspace(0, len(chunks), min(threads, len(chunks)) + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_fill_links, ws, columns, lo, hi, targets, errors, modes,
-                                   int(bounds[w]), int(bounds[w + 1]))
-                       for w in range(threads)]
+            futures = [pool.submit(_link_chunks, ws, chunks[a:b], targets, errors, modes)
+                       for a, b in zip(bounds[:-1], bounds[1:])]
             for f in futures:
                 f.result()
     errors[targets < 0] = np.nan

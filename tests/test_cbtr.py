@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -146,6 +147,62 @@ def _time_bound_share(ds, links):
     return skippable / total
 
 
+def _meridian_fleet():
+    # every report on one meridian: the index's longitude span is 0
+    ds = _dataset(66, n_vessels=4, duration_s=900)
+    return replace(ds, lon=np.full(len(ds), -76.0))
+
+
+def _one_time_fleet():
+    ds = _dataset(67, n_vessels=4, duration_s=300)
+    return replace(ds, t=np.full(len(ds), 100))
+
+
+# longitude bin edges are this far apart when a chunk spans _LON_BINS of them
+EDGE_STEP = 2.0**-20
+
+
+def _edge_fleet():
+    """Every report at a whole number of _SLAB_S seconds and on a longitude
+    bin edge: the fleet spans exactly _LON_BINS steps of EDGE_STEP, so each
+    report's scaled offset from the westmost is a whole number."""
+    rng = np.random.default_rng(68)
+    n = 120
+    step = rng.integers(0, cbtr._LON_BINS + 1, n)
+    step[:2] = 0, cbtr._LON_BINS
+    return TrackDataset.from_columns(
+        t=np.sort(rng.integers(0, 12, n)) * cbtr._SLAB_S, lat=37.0 + rng.uniform(0, 5e-4, n),
+        lon=-76.0 + step * EDGE_STEP, sog=rng.choice([0.0, 0.5, 2.0, 8.0], n),
+        cog=rng.uniform(0, 360, n))
+
+
+def _on_edges(ds):
+    offset = (ds.lon - ds.lon.min()) / EDGE_STEP
+    return (bool(np.all(ds.t % cbtr._SLAB_S == 0)) and np.array_equal(offset, np.round(offset))
+            and offset.max() == cbtr._LON_BINS)
+
+
+def _past_reach_points():
+    """Report 0 is docked.  Within the first round's moving reach its
+    window holds only reports that fail their gates: docked ones 0.01
+    degrees north fail the time-axis gate, and fast ones 0.5 degrees north
+    fail the heading gate.  Its one passing candidate, docked where it
+    lies, comes 900 s on."""
+    pts = [AisPoint(0, 37.0, -76.0, 0.0, 0.0)]
+    pts += [AisPoint(t, 37.01, -76.0, 0.0, 0.0) for t in range(20, 240, 20)]
+    pts += [AisPoint(t, 37.5, -76.0 + 1e-4 * t, 10.0, 90.0) for t in range(10, 240, 20)]
+    return pts + [AisPoint(900, 37.0, -76.0, 0.0, 0.0)]
+
+
+def _past_reach(ds, links):
+    pts = reference.pts_of(ds)
+    passing = [j for j in candidate_window(ds, 0, CFG)
+               if reference.pair_score(pts[0], pts[j], ds.alpha, CFG) is not None]
+    dt = float(ds.t[links.targets[0]] - ds.t[0])
+    return (passing == [len(ds) - 1] and links.modes[0] == 2
+            and (CFG.time_weight_moving * dt)**2 >= cbtr._START_BOUND)
+
+
 # each fleet with the trait that makes it a pass-boundary case
 BLOCK_FLEETS = {
     "tied": (_tied_fleet, lambda ds, links: bool(np.any(np.diff(ds.t) == 0))),
@@ -153,6 +210,14 @@ BLOCK_FLEETS = {
     "all-steady": (_steady_fleet, lambda ds, links: _linked_modes(links) == {2}),
     "all-moving": (_moving_fleet, lambda ds, links: _linked_modes(links) == {1}),
     "dense": (_dense_fleet, lambda ds, links: _time_bound_share(ds, links) >= 0.5),
+    "one-meridian": (_meridian_fleet,
+                     lambda ds, links: np.ptp(ds.lon) == 0 and bool(np.any(links.targets >= 0))),
+    "one-report": (lambda: TrackDataset.from_points([AisPoint(0, 37.0, -76.0, 5.0, 0.0)]),
+                   lambda ds, links: len(ds) == 1),
+    "one-time": (_one_time_fleet, lambda ds, links: len(ds) > 1 and np.ptp(ds.t) == 0),
+    "on-edges": (_edge_fleet, lambda ds, links: _on_edges(ds)
+                 and len(_linked_modes(links)) == 2),
+    "slow-past-reach": (lambda: TrackDataset.from_points(_past_reach_points()), _past_reach),
 }
 
 
@@ -165,16 +230,33 @@ def block_fleet(request):
     return ds, links, reference.link_all(reference.pts_of(ds), ds.alpha, CFG)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-@pytest.mark.parametrize("cells", [1, 7, 97])
-def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
-    ds, default, expected = block_fleet
-    monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+def _assert_invisible(ds, default, expected, threads):
     links = build_links(ds, CFG, threads=threads)
     assert np.array_equal(links.targets, default.targets)
     assert np.array_equal(links.modes, default.modes)
     assert np.array_equal(links.errors, default.errors, equal_nan=True)
     _assert_links_match(links, expected)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("cells", [1, 7, 97])
+def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
+    monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+    _assert_invisible(*block_fleet, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("name, value", [
+    ("_SLAB_S", 1), ("_SLAB_S", CFG.window_s + 1),
+    ("_LON_BINS", 1), ("_LON_BINS", 4096),
+    ("_START_BOUND", 1e-30), ("_START_BOUND", 1.0),
+    # every chunk holds one row
+    ("_CHUNK_CELLS", 1),
+], ids=["slab-1s", "slab-past-window", "bins-1", "bins-4096", "start-1e-30", "start-1",
+        "chunk-one-row"])
+def test_search_constants_are_invisible(block_fleet, name, value, threads, monkeypatch):
+    monkeypatch.setattr(cbtr, name, value)
+    _assert_invisible(*block_fleet, threads)
 
 
 # with a dyadic time weight and alpha 1, every step of the scores below is exact
@@ -452,14 +534,14 @@ def _north_sog(step):
     raise AssertionError(f"no speed gives {step} degrees a second")
 
 
-def _fill_counts(ds, cfg):
-    """build_links for one worker, with the cell counts _fill_links reports."""
+def _search_counts(ds, cfg):
+    """build_links for one worker, with the (rounds, cells scored) that
+    _link_chunks reports."""
     ws = cbtr._Workspace(ds, cfg)
-    lo, hi = cbtr._window_bounds(ds.t, ds.t, cfg.window_s)
     targets = np.full(len(ds), -1)
     errors = np.full(len(ds), np.inf)
     modes = np.zeros(len(ds), dtype=np.int8)
-    counts = cbtr._fill_links(ws, cbtr._sweep_columns(ws, lo, hi), lo, hi, targets, errors, modes, 0, len(ds))
+    counts = cbtr._link_chunks(ws, cbtr._chunks(ws), targets, errors, modes)
     return targets, errors, counts
 
 
@@ -520,12 +602,78 @@ def test_offset_bound_boundary(make, best, floor, mode, cells, threads, monkeypa
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
     links = build_links(ds, FLOOR_CFG, threads=threads)
     assert (links.targets[0], links.errors[0], links.modes[0]) == (winner, min(floor, best), mode)
-    # cell (0, 2) is screened against report 1's best, and scored in full
-    # only when its bound is below it
-    _, _, (screened, scored) = _fill_counts(ds, FLOOR_CFG)
-    _, _, (_, scored_alone) = _fill_counts(alone(1), FLOOR_CFG)
-    assert screened >= 1
-    assert scored == scored_alone + 1 + (winner == 2)
+    # every score here is far below the first round's bound, so one round
+    # links every row, scoring each of the three window cells once
+    assert _search_counts(ds, FLOOR_CFG)[2] == (1, 3)
+    assert _search_counts(alone(1), FLOOR_CFG)[2] == (1, 1)
+
+
+# every pair moves, and the time terms lie far below an ulp of the offsets
+TUBE_CFG = CbtrConfig(time_weight_moving=2.0**-60, time_weight_steady=2.0**-60,
+                      moving_speed_sum=0.0)
+
+
+def _tube_track(west_1, west_2):
+    """Report 0 heads due east at 0.001 kn, so its dead-reckoned latitude
+    stays 37.  Reports 1 and 2, 4 s on, lie docked ``west_1`` and
+    ``west_2`` ulps of longitude west of report 0's own position.  Docked
+    there, a report scores fo**2 / 2 exactly, its floor in the tube; an
+    ulp west, it scores more.  Report 3, also 4 s on, lies 0.01 degrees
+    east, outside every tube of the first two rounds, so the first round
+    cannot cover report 0's window."""
+    lon = [-76.0, -76.0, -76.0, -75.99]
+    for k, ulps in ((1, west_1), (2, west_2)):
+        for _ in range(ulps):
+            lon[k] = np.nextafter(lon[k], -np.inf)
+    return TrackDataset(t=np.array([0, 4, 4, 4]), lat=np.full(4, 37.0), lon=np.array(lon),
+                        sog=np.array([0.001, 0.0, 0.0, 0.0]), cog=np.array([90.0, 0, 0, 0]),
+                        vids=None, alpha=1.0)
+
+
+def _tube_holds(ds, cfg, i, j, bound):
+    """Whether row i's tube at ``bound`` holds column j."""
+    ws = cbtr._Workspace(ds, cfg)
+    index = cbtr._Index(ws, int(ws.lo[i]), int(ws.hi[i]))
+    _, first, last = index.tube(ws, np.array([i]), bound)
+    return any(j in index.cols[a:b] for a, b in zip(first, last))
+
+
+@pytest.mark.parametrize("tie", [True, False], ids=["tie", "report-2-lower"])
+@pytest.mark.parametrize("west_2, above", [
+    # report 2's floor equals the bound
+    (0, 0),
+    # report 2's floor lies one ulp below the bound
+    (0, 1),
+    # report 2 lies one ulp of longitude outside the tube's edge
+    (1, 0),
+], ids=["floor-equal", "floor-one-ulp-below", "one-ulp-outside"])
+def test_tube_boundary(west_2, above, tie, monkeypatch):
+    """Slabs of 4 s start at report 1's time, so report 0's tube over that
+    slab starts at its dead-reckoned position 4 s on.  The bound puts the
+    tube's edge sqrt(2 * bound) west of there at report 0's own longitude,
+    up to the bound's ulps ``above``.  Report 1 ties with report 2, or
+    scores more."""
+    ds = _tube_track(west_2 if tie else west_2 + 1, west_2)
+    ws = cbtr._Workspace(ds, TUBE_CFG)
+    fo = (ws.ve[0] * 4.0 + ds.lon[0]) - ds.lon[0]
+    bound = (fo * fo) * 0.5
+    for _ in range(above):
+        bound = np.nextafter(bound, 1.0)
+    score = link_of(replace(ds, **{f: getattr(ds, f)[[0, 2]]
+                                   for f in ("t", "lat", "lon", "sog", "cog")}), 0, TUBE_CFG)[1]
+    assert (score == bound) == (west_2 == 0 and above == 0)
+    assert (score < bound) == (above > 0)
+    monkeypatch.setattr(cbtr, "_SLAB_S", 4)
+    monkeypatch.setattr(cbtr, "_START_BOUND", bound)
+    links = build_links(ds, TUBE_CFG)
+    _assert_links_match(links, reference.link_all(reference.pts_of(ds), ds.alpha, TUBE_CFG))
+    assert (links.targets[0], links.errors[0]) == ((1 if tie else 2), score)
+    # a score below the bound puts report 2 in the first round's tube and
+    # decides the link there; otherwise the second round decides it
+    assert not _tube_holds(ds, TUBE_CFG, 0, 3, bound)
+    if score < bound:
+        assert _tube_holds(ds, TUBE_CFG, 0, 2, bound)
+    assert _search_counts(ds, TUBE_CFG)[2][0] == (1 if score < bound else 2)
 
 
 def _gated_points():
@@ -559,15 +707,14 @@ def test_lowest_offset_cell_failing_its_gate_does_not_link(cells, threads, monke
 
 
 def test_cell_counts_are_pinned():
-    # cells screened (rows with a link) and cells scored in full (the
-    # screen's survivors and every cell of rows without a link); a change
-    # that stops screening, or screens less, shows here first
+    # rounds of the bound-driven search and cells scored; a change that
+    # widens the tube, or needs more rounds, shows here first
     ds = _dense_fleet()
-    targets, errors, counts = _fill_counts(ds, CFG)
+    targets, errors, counts = _search_counts(ds, CFG)
     links = build_links(ds, CFG)
     assert np.array_equal(targets, links.targets)
     assert np.array_equal(errors[targets >= 0], links.errors[targets >= 0])
-    assert counts == (5543, 3727)
+    assert counts == (10, 1696)
 
 
 @pytest.mark.parametrize("step", [1, -1], ids=["table-columns", "reversed-table-columns"])
@@ -585,3 +732,18 @@ def test_strided_columns_give_the_same_links(step):
         assert np.array_equal(links.targets, expected.targets)
         assert np.array_equal(links.modes, expected.modes)
         assert np.array_equal(links.errors, expected.errors, equal_nan=True)
+
+
+def test_link_memory_is_bounded():
+    # the benchmark's harbor hour: ~12.4k reports and 36.8M window cells,
+    # whose 2**21 cells a chunk as float64 alone would take 16 MB.  The
+    # search holds one block of cells and one round's runs of a chunk; the
+    # column sweep it replaced peaked at 7.6 MB here
+    ds = generate_fleet(SynthConfig(n_vessels=200, duration_s=3600, noise_sigma_m=10.0, seed=7))
+    tracemalloc.start()
+    try:
+        build_links(ds, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
