@@ -16,6 +16,7 @@ import numpy as np
 
 from .kinematics import ground_distance_m, turning_cos, velocity
 from .model import CbtrConfig, ClusterAssignment, LinkSet, TrackDataset
+from .search import SlabIndex, blocks, first_minima
 
 
 @dataclass(frozen=True)
@@ -217,105 +218,46 @@ def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.n
     hit = np.flatnonzero(score < np.inf)
     if not hit.size:
         return rows[:0], cols[:0], score[:0], np.zeros(0, dtype=np.int8)
-    best = hit[_first_minima(rows[hit], score[hit], cols[hit])]
+    best = hit[first_minima(rows[hit], score[hit], cols[hit])]
     return rows[best], cols[best], score[best], np.where(moving[best], 1, 2).astype(np.int8)
 
 
-def _first_minima(i: np.ndarray, score: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Position of each row's lowest score, at its lowest column on a tie;
-    the cells of a row are adjacent in ``i``, and no column repeats within
-    a row."""
-    head = np.empty(i.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(i[1:], i[:-1], out=head[1:])
-    row = np.cumsum(head) - 1
-    low = np.flatnonzero(score == np.minimum.reduceat(score, np.flatnonzero(head))[row])
-    first = np.minimum.reduceat(col[low], np.flatnonzero(np.diff(row[low], prepend=-1)))
-    return low[col[low] == first[row[low]]]
+def _tube(index: SlabIndex, ws: _Workspace, rows: np.ndarray, bound: float):
+    """The runs of ``index.cols`` that hold every cell of ``rows`` that may
+    score below ``bound``, as (position in rows, first, stop), row by row;
+    they may hold cells outside a row's window as well.
 
-
-class _Index:
-    """One chunk's candidate columns first..stop-1, sorted by (time slab,
-    longitude bin) and ascending within each, so that the columns of one
-    slab over a run of bins are one contiguous run of ``cols``."""
-
-    def __init__(self, ws: _Workspace, first: int, stop: int):
-        t, lon = ws.t[first:stop], ws.lon[first:stop]
-        self.t0 = t[0]
-        self.slabs = (t[-1] - self.t0) // _SLAB_S + 1
-        self.lon0 = lon.min()
-        # a span of 0 puts every column in bin 0
-        self.scale = _LON_BINS / max(lon.max() - self.lon0, 1e-200)
-        key = (t - self.t0) // _SLAB_S * _LON_BINS + self.bin(lon)
-        order = np.argsort(key, kind="stable")
-        self.key, self.cols = key[order], first + order
-
-    def bin(self, lon: np.ndarray) -> np.ndarray:
-        """Longitude bin of each value: a non-decreasing function of it."""
-        return np.clip((lon - self.lon0) * self.scale, 0, _LON_BINS - 1).astype(np.int64)
-
-    def tube(self, ws: _Workspace, rows: np.ndarray, bound: float):
-        """The runs of ``cols`` that hold every cell of ``rows`` that may
-        score below ``bound``, as (position in rows, first, stop), row by
-        row; they may hold cells outside a row's window as well.
-
-        A moving cell scores at least its time term and at least fo**2 / 2,
-        a steady one at least dlon**2.  So a moving cell below the bound
-        lies up to ``reach`` seconds on, with a longitude within ``radius``
-        of the row's dead-reckoned one, and a steady one within ``radius``
-        of the row's own longitude.
-        """
-        # dt <= reach exactly where the kernel's time term is below bound
-        reach = int(np.searchsorted(ws.tt, bound))
-        radius = np.sqrt(2.0 * bound) * (1 + 2.0**-40)
-        t = ws.t[rows]
-        # a slow row may pair as steady anywhere in its window
-        end = t + np.where(ws.slow[rows], ws.cfg.window_s, reach)
-        first_slab = (t + 1 - self.t0) // _SLAB_S
-        count = np.where(end > t, np.minimum((end - self.t0) // _SLAB_S, self.slabs - 1)
-                         - first_slab + 1, 0)
-        at = np.repeat(np.arange(rows.size), count)
-        slab = np.arange(at.size) + np.repeat(first_slab - np.cumsum(count) + count, count)
-        # the moving cells of each slab lie within its clipped span of dt;
-        # the kernel's dead reckoning is monotone in dt, so the span's ends
-        # bound it
-        start = slab * _SLAB_S + self.t0
-        ta = np.maximum(start, (t + 1)[at])
-        tb = np.minimum(start + (_SLAB_S - 1), (t + reach)[at])
-        tf, ve, lon = ws.tf[rows][at], ws.ve[rows][at], ws.lon[rows][at]
-        west = ve * (ta - tf) + lon
-        east = ve * (tb - tf) + lon
-        west, east = np.minimum(west, east), np.maximum(west, east)
-        # past reach a slow row's slab holds only its steady cells
-        slow = np.flatnonzero(ws.slow[rows][at])
-        if slow.size:
-            moving = ta[slow] <= tb[slow]
-            lon = lon[slow]
-            west[slow] = np.where(moving, np.minimum(west[slow], lon), lon)
-            east[slow] = np.where(moving, np.maximum(east[slow], lon), lon)
-        key = slab * _LON_BINS
-        first = np.searchsorted(self.key, key + self.bin(np.nextafter(west - radius, -np.inf)))
-        stop = np.searchsorted(self.key, key + self.bin(np.nextafter(east + radius, np.inf)),
-                               side="right")
-        kept = np.flatnonzero(stop > first)
-        return at[kept], first[kept], stop[kept]
-
-
-def _blocks(first: np.ndarray, stop: np.ndarray):
-    """Split the runs first[k]:stop[k] into blocks of at most _BLOCK_CELLS
-    positions; yield each block's run numbers and positions, in order."""
-    # laid end to end, run k takes the places starts[k]:ends[k]
-    ends = np.cumsum(stop - first)
-    starts = ends - (stop - first)
-    shift = first - starts
-    total = int(ends[-1]) if ends.size else 0
-    for p in range(0, total, _BLOCK_CELLS):
-        q = min(p + _BLOCK_CELLS, total)
-        k0 = int(np.searchsorted(ends, p, side="right"))
-        k1 = int(np.searchsorted(ends, q, side="left")) + 1
-        size = np.minimum(ends[k0:k1], q) - np.maximum(starts[k0:k1], p)
-        run = np.repeat(np.arange(k0, k1), size)
-        yield run, np.arange(p, q) + shift[run]
+    A moving cell scores at least its time term and at least fo**2 / 2,
+    a steady one at least dlon**2.  So a moving cell below the bound lies
+    up to ``reach`` seconds on, with a longitude within ``radius`` of the
+    row's dead-reckoned one, and a steady one within ``radius`` of the
+    row's own longitude.
+    """
+    # dt <= reach exactly where the kernel's time term is below bound
+    reach = int(np.searchsorted(ws.tt, bound))
+    radius = np.sqrt(2.0 * bound) * (1 + 2.0**-40)
+    t = ws.t[rows]
+    # a slow row may pair as steady anywhere in its window
+    at, slab = index.slabs(t + 1, t + np.where(ws.slow[rows], ws.cfg.window_s, reach))
+    # the moving cells of each slab lie within its clipped span of dt; the
+    # kernel's dead reckoning is monotone in dt, so the span's ends bound it
+    start = slab * index.slab_s + index.t0
+    ta = np.maximum(start, (t + 1)[at])
+    tb = np.minimum(start + (index.slab_s - 1), (t + reach)[at])
+    tf, ve, lon = ws.tf[rows][at], ws.ve[rows][at], ws.lon[rows][at]
+    west = ve * (ta - tf) + lon
+    east = ve * (tb - tf) + lon
+    west, east = np.minimum(west, east), np.maximum(west, east)
+    # past reach a slow row's slab holds only its steady cells
+    slow = np.flatnonzero(ws.slow[rows][at])
+    if slow.size:
+        moving = ta[slow] <= tb[slow]
+        lon = lon[slow]
+        west[slow] = np.where(moving, np.minimum(west[slow], lon), lon)
+        east[slow] = np.where(moving, np.maximum(east[slow], lon), lon)
+    west -= radius
+    east += radius
+    return index.runs(at, slab, west, east)
 
 
 def _link_chunks(ws: _Workspace, chunks: list[tuple[int, int]],
@@ -325,7 +267,7 @@ def _link_chunks(ws: _Workspace, chunks: list[tuple[int, int]],
 
     Each round gives every pending row the same bound: _START_BOUND at
     first, 4x in each later round.  It scores each row's cells in the
-    _Index.tube that holds every cell that may score below it.  A row is
+    _tube that holds every cell that may score below it.  A row is
     done once its best is below the bound, since every cell that could
     beat it or tie with it has been scored, or once its tube has covered
     its whole window.  A new best replaces the old one when its error is
@@ -339,12 +281,13 @@ def _link_chunks(ws: _Workspace, chunks: list[tuple[int, int]],
         rows = rows[ws.hi[rows] > ws.lo[rows]]
         if not rows.size:
             continue
-        index = _Index(ws, int(ws.lo[rows[0]]), int(ws.hi[rows[-1]]))
+        lo, hi = int(ws.lo[rows[0]]), int(ws.hi[rows[-1]])
+        index = SlabIndex(ws.t[lo:hi], ws.lon[lo:hi], lo, _SLAB_S, _LON_BINS)
         bound = _START_BOUND
         while rows.size:
-            at, first, last = index.tube(ws, rows, bound)
+            at, first, last = _tube(index, ws, rows, bound)
             seen = np.zeros(rows.size, dtype=np.int64)
-            for run, pos in _blocks(first, last):
+            for run, pos in blocks(first, last, _BLOCK_CELLS):
                 row, col = rows[at[run]], index.cols[pos]
                 inside = np.flatnonzero((col >= ws.lo[row]) & (col < ws.hi[row]))
                 row, col = row[inside], col[inside]

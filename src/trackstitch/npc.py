@@ -15,13 +15,22 @@ import numpy as np
 from .cbtr import components_of
 from .kinematics import displace, ground_distance_m
 from .model import ClusterAssignment, TrackDataset, label_codes, label_groups
+from .search import SlabIndex, blocks, first_minima
 
 # classification looks back at most this many reports per label
 RECENT_PER_LABEL = 10
 
-# reports whose neighbors are searched per numpy pass; each pass scores
-# them against one contiguous time window of the dataset
-_BLOCK_ROWS = 32
+# the neighbor index over all reports: seconds per time slab, bins of
+# weighted longitude
+_SLAB_S = 1024
+_LON_BINS = 256
+# the first round's search radius in weighted units (400 s, or about 350 m,
+# at the default weights); each later round doubles it
+_START_RADIUS = 4e-3
+# pending reports searched together, and report-neighbor cells scored per
+# numpy pass, at most
+_CHUNK_ROWS = 1024
+_BLOCK_CELLS = 8192
 
 _FIT_ROWS = 1024  # reports whose neighbors are extrapolated per numpy pass
 
@@ -96,18 +105,144 @@ def npc_classify(train: TrackDataset, test: TrackDataset) -> tuple[str, ...]:
     return tuple(np.array(distinct, dtype=object)[best].tolist())
 
 
-def _window_d2(feats: list[np.ndarray], a: int, b: int, lo: int, hi: int) -> np.ndarray:
-    """Squared feature distances of reports a..b-1 to reports lo..hi-1, self
-    cells set to inf.  Direct differences, time term first: every other term
-    is non-negative, so no cell rounds below its time term."""
-    d2 = np.subtract.outer(feats[0][a:b], feats[0][lo:hi])
+def _time_reach(tf: np.ndarray, rows: np.ndarray, r2: float):
+    """[lo, hi) of each row: positions that hold every report whose time
+    term to the row is at most r2, and perhaps a few more.
+
+    tf is non-decreasing, so on either side of a row the time term never
+    falls as the position moves away from it.  A searchsorted start is
+    widened until the report just outside each end is strictly farther,
+    judged by the time term itself: no rounding argument is needed.
+    """
+    n, x = tf.size, tf[rows]
+    r = np.sqrt(r2)
+    lo = np.searchsorted(tf, x - r)
+    hi = np.searchsorted(tf, x + r, side="right")
+    for end, step, side in ((lo, -1, "left"), (hi, 0, "right")):
+        while True:
+            # the report just outside this end
+            out = np.flatnonzero(end > 0 if step else end < n)
+            j = end[out] + step
+            gap = x[out] - tf[j]
+            near = gap * gap <= r2
+            if not near.any():
+                break
+            end[out[near]] = np.searchsorted(tf, tf[j[near]], side=side)
+    return lo, hi
+
+
+def _distances(feats: list[np.ndarray], row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Squared feature distance of each cell (row[m], col[m]).  Direct
+    differences, time term first: every other term is non-negative, so no
+    cell rounds below any one of its terms."""
+    d2 = feats[0][row] - feats[0][col]
     d2 *= d2
-    for col in feats[1:]:
-        diff = np.subtract.outer(col[a:b], col[lo:hi])
+    for f in feats[1:]:
+        diff = f[row] - f[col]
         diff *= diff
         d2 += diff
-    d2[np.arange(b - a), np.arange(a - lo, b - lo)] = np.inf
     return d2
+
+
+def _k_nearest(a: np.ndarray, col: np.ndarray, d2: np.ndarray, k: int):
+    """The cells (a, col, d2) of each row's k lowest d2, ties to the lower
+    column, or all of a row's cells if it has fewer; the first k of a
+    stable argsort of the row.  The cells of a row are adjacent in ``a``,
+    and keep their order."""
+    left = np.ones(a.size, dtype=bool)
+    for _ in range(k):
+        rest = np.flatnonzero(left)
+        if not rest.size:
+            break
+        left[rest[first_minima(a[rest], d2[rest], col[rest])]] = False
+    taken = np.flatnonzero(~left)
+    return a[taken], col[taken], d2[taken]
+
+
+def _round(t: np.ndarray, feats: list[np.ndarray], lon: np.ndarray, index: SlabIndex,
+           rows: np.ndarray, r2: float, k: int):
+    """One round of the search at the squared radius r2.  Returns each
+    row's count of cells within r2, up to k, the columns of its nearest
+    ones among them (ties to the lower index), and how many cells were
+    scored.
+
+    A row's cells are those of the index runs of every slab its time reach
+    meets, over weighted longitudes within the radius of its own.  Every
+    cell within r2 is among them: no term of its distance exceeds r2.
+    """
+    lo, hi = _time_reach(feats[0], rows, r2)
+    at, slab = index.slabs(t[lo], t[hi - 1])
+    # a longitude term within r2 puts the exact longitude offset below reach
+    reach = np.sqrt(r2) * (1 + 2.0**-40)
+    east = lon[rows][at]
+    west = east - reach
+    east += reach
+    at, first, stop = index.runs(at, slab, west, east)
+    held = np.zeros(rows.size, dtype=np.int64)
+    held_col = np.empty((rows.size, k), dtype=np.int64)
+    held_d2 = np.empty((rows.size, k))
+    scored = 0
+    for run, pos in blocks(first, stop, _BLOCK_CELLS):
+        a, col = at[run], index.cols[pos]
+        row = rows[a]
+        inside = np.flatnonzero((col >= lo[a]) & (col < hi[a]) & (col != row))
+        a, col = a[inside], col[inside]
+        scored += col.size
+        d2 = _distances(feats, row[inside], col)
+        hit = np.flatnonzero(d2 <= r2)
+        # a row's cells are adjacent in run order, so of the rows in this
+        # block only the first can hold cells from the block before
+        carry = at[run[0]]
+        c = held[carry]
+        a, col, d2 = _k_nearest(np.concatenate((np.full(c, carry), a[hit])),
+                                np.concatenate((held_col[carry, :c], col[hit])),
+                                np.concatenate((held_d2[carry, :c], d2[hit])), k)
+        slot = np.arange(a.size) - np.searchsorted(a, a)
+        held_col[a, slot], held_d2[a, slot] = col, d2
+        last = np.flatnonzero(np.diff(a, append=-1))
+        held[a[last]] = slot[last] + 1
+    return held, held_col, scored
+
+
+def _nearest(ds: TrackDataset, cfg: NpcConfig):
+    """The k nearest reports of each report in feature space, in index
+    order, and (rounds, cells scored) of the search.
+
+    Each round gives every pending report the radius R: _START_RADIUS at
+    first, twice as much in each later round.  A report is done once at
+    least k of its cells lie within R**2: every report left out is then
+    strictly farther, so its k nearest, ties to the lower index, are among
+    the cells scored.
+    """
+    k = cfg.k_neighbors
+    lat_w = ds.alpha if cfg.lat_weight is None else cfg.lat_weight
+    tf = cfg.time_weight * ds.t.astype(np.float64)
+    # a zero-weight term adds exactly 0.0 to every distance, so it is left out
+    feats = [tf] + [w * col for w, col in ((lat_w, ds.lat), (cfg.lon_weight, ds.lon),
+                                           (cfg.sog_weight, ds.sog), (cfg.cog_weight, ds.cog))
+                    if w != 0]
+    if not all(np.isfinite(f).all() for f in feats):
+        raise ValueError("a weighted feature overflows; lower the npc weights")
+    lon = cfg.lon_weight * ds.lon
+    index = SlabIndex(ds.t, lon, 0, _SLAB_S, _LON_BINS)
+    nbr = np.empty((len(ds), k), dtype=np.int64)
+    rows = np.arange(len(ds))
+    radius = _START_RADIUS
+    rounds = scored = 0
+    while rows.size:
+        pending = []
+        for c in range(0, rows.size, _CHUNK_ROWS):
+            part = rows[c:c + _CHUNK_ROWS]
+            held, cols, cells = _round(ds.t, feats, lon, index, part, radius * radius, k)
+            scored += cells
+            done = held == k
+            nbr[part[done]] = cols[done]
+            pending.append(part[~done])
+        rounds += 1
+        rows = np.concatenate(pending)
+        radius *= 2
+    nbr.sort(axis=1)
+    return nbr, (rounds, scored)
 
 
 def npc_grouping_targets(ds: TrackDataset, cfg: NpcConfig | None = None) -> np.ndarray:
@@ -117,49 +252,16 @@ def npc_grouping_targets(ds: TrackDataset, cfg: NpcConfig | None = None) -> np.n
     position best matches extrapolating this report with the pair's average
     velocity over their (signed) time difference.
 
-    The neighbors are searched in a window of the time-sorted reports around
-    each block of rows.  The window is kept only when every report outside it
-    is, by its time term alone, strictly farther than each row's k-th nearest
-    inside; otherwise it is widened.  Ties go to the lower index.
+    The neighbors are found by a search in rounds of a growing radius over
+    a (time slab, weighted longitude bin) index of the reports; ties go to
+    the lower index, and the result is that of a full n x n comparison.
     """
     cfg = cfg or NpcConfig()
     n = len(ds)
     k = cfg.k_neighbors
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} points")
-    lat_w = ds.alpha if cfg.lat_weight is None else cfg.lat_weight
-    tf = cfg.time_weight * ds.t.astype(np.float64)
-    # a zero-weight term adds exactly 0.0 to every distance, so it is left out
-    feats = [tf] + [w * col for w, col in ((lat_w, ds.lat), (cfg.lon_weight, ds.lon),
-                                           (cfg.sog_weight, ds.sog), (cfg.cog_weight, ds.cog))
-                    if w != 0]
-
-    nbr = np.empty((n, k), dtype=np.int64)
-    radius = k  # reports scored on each side of a block, at least k
-    for a in range(0, n, _BLOCK_ROWS):
-        b = min(n, a + _BLOCK_ROWS)
-        while True:
-            lo, hi = max(0, a - radius), min(n, b + radius)
-            d2 = _window_d2(feats, a, b, lo, hi)
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-            # tf is non-decreasing, so the reports at lo-1 and hi have the
-            # smallest time gaps of all reports outside the window
-            if ((lo == 0 or np.all((tf[a:b, None] - tf[lo - 1]) ** 2 > kth))
-                    and (hi == n or np.all((tf[hi] - tf[a:b, None]) ** 2 > kth))):
-                break
-            radius *= 2
-        # the columns within some row's k-th best hold every neighbor and
-        # span the radius this block needed
-        near = np.flatnonzero(np.any(d2 <= kth, axis=0))
-        first, last = lo + int(near[0]), lo + int(near[-1]) + 1
-        radius = max(k, a - first, last - b)
-        # the k nearest in index order: the cells below the k-th distance, then
-        # those equal to it in index order up to k, as a stable argsort takes
-        sub = d2[:, first - lo:last - lo]
-        below, tied = sub < kth, sub == kth
-        tied &= np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)
-        nbr[a:b] = np.nonzero(below | tied)[1].reshape(b - a, k) + first
-
+    nbr, _ = _nearest(ds, cfg)
     # extrapolate each report with the pair's average velocity to each of its
     # neighbors, in slices of reports that bound the temporaries; the first
     # (lowest-index) best fit wins

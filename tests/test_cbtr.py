@@ -17,6 +17,7 @@ from trackstitch.cbtr import (
 )
 from trackstitch.kinematics import DEG_LAT_PER_KNOT_S
 from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
+from trackstitch.search import SlabIndex
 from trackstitch.synth import SynthConfig, generate_fleet
 
 from conftest import MODE_NAME, link_of, small_mixed_config
@@ -633,8 +634,9 @@ def _tube_track(west_1, west_2):
 def _tube_holds(ds, cfg, i, j, bound):
     """Whether row i's tube at ``bound`` holds column j."""
     ws = cbtr._Workspace(ds, cfg)
-    index = cbtr._Index(ws, int(ws.lo[i]), int(ws.hi[i]))
-    _, first, last = index.tube(ws, np.array([i]), bound)
+    lo, hi = int(ws.lo[i]), int(ws.hi[i])
+    index = SlabIndex(ws.t[lo:hi], ws.lon[lo:hi], lo, cbtr._SLAB_S, cbtr._LON_BINS)
+    _, first, last = cbtr._tube(index, ws, np.array([i]), bound)
     return any(j in index.cols[a:b] for a, b in zip(first, last))
 
 

@@ -220,6 +220,12 @@ def test_grouping_requires_enough_points():
         npc_grouping_targets(ds, NpcConfig(k_neighbors=3))
 
 
+def test_grouping_rejects_overflowing_weights():
+    # 37 degrees of latitude times 1e307 is no float
+    with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
+        npc_grouping_targets(_two_vessel_toy(), NpcConfig(lat_weight=1e307))
+
+
 def _mean_course(a, b):
     y = (math.sin(math.radians(a)) + math.sin(math.radians(b))) / 2.0
     x = (math.cos(math.radians(a)) + math.cos(math.radians(b))) / 2.0
@@ -298,8 +304,9 @@ def _twice(ds):
     NpcConfig(sog_weight=1e-3, cog_weight=1e-5),
 ], ids=["no-time", "time-1", "k1", "k5", "sog-cog"])
 def test_grouping_edge_configs_match_bruteforce(cfg, monkeypatch):
-    # small blocks, so the search runs over many windows of the fleet
-    monkeypatch.setattr(npc, "_BLOCK_ROWS", 16)
+    # small blocks and chunks, so the search runs over many of each
+    monkeypatch.setattr(npc, "_BLOCK_CELLS", 16)
+    monkeypatch.setattr(npc, "_CHUNK_ROWS", 16)
     ds = generate_fleet(small_mixed_config(63, n_vessels=5, duration_s=2400))
     assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
 
@@ -308,7 +315,8 @@ def test_grouping_edge_configs_match_bruteforce(cfg, monkeypatch):
 def test_grouping_duplicate_ties_match_bruteforce(k, monkeypatch):
     # each report's twin is at distance 0 and the next nearest report comes
     # with its own twin at the same distance, so ties straddle the k-th place
-    monkeypatch.setattr(npc, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(npc, "_BLOCK_CELLS", 16)
+    monkeypatch.setattr(npc, "_CHUNK_ROWS", 16)
     ds = _twice(generate_fleet(small_mixed_config(64, n_vessels=4, duration_s=1200)))
     cfg = NpcConfig(k_neighbors=k)
     assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
@@ -328,9 +336,12 @@ def _exact_ties(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("rows", [1, 4])
-def test_grouping_exact_ties_match_bruteforce(seed, k, rows, monkeypatch):
-    monkeypatch.setattr(npc, "_BLOCK_ROWS", rows)
+@pytest.mark.parametrize("cells", [1, 4])
+def test_grouping_exact_ties_match_bruteforce(seed, k, cells, monkeypatch):
+    # blocks this small split every row's cells across blocks; slabs of 4 s
+    # keep each row's gather near its time reach, so there are few blocks
+    monkeypatch.setattr(npc, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(npc, "_SLAB_S", 4)
     ds = _exact_ties(seed)
     cfg = NpcConfig(k_neighbors=k, time_weight=2.0 ** -6, lat_weight=1.0)
     assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
@@ -353,11 +364,91 @@ def block_fleet(request):
     return ds, npc_grouping_targets(ds)
 
 
-@pytest.mark.parametrize("rows", [1, 7, 97])
-def test_block_size_is_invisible(block_fleet, rows, monkeypatch):
+@pytest.mark.parametrize("cells", [1, 7, 97])
+def test_block_size_is_invisible(block_fleet, cells, monkeypatch):
     ds, default = block_fleet
-    monkeypatch.setattr(npc, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(npc, "_BLOCK_CELLS", cells)
     assert np.array_equal(npc_grouping_targets(ds), default)
+
+
+# each search constant at an extreme: every time its own slab, one slab for
+# the whole fleet, one longitude bin, bins far finer than the reports, a
+# first radius that takes ~90 rounds, one round that scores every pair, and
+# chunks of one row
+SEARCH_EXTREMES = {
+    "slab-1s": ("_SLAB_S", 1), "slab-past-fleet": ("_SLAB_S", 10**6),
+    "bins-1": ("_LON_BINS", 1), "bins-4096": ("_LON_BINS", 4096),
+    "start-1e-30": ("_START_RADIUS", 1e-30), "start-1e3": ("_START_RADIUS", 1e3),
+    "chunk-one-row": ("_CHUNK_ROWS", 1),
+}
+
+
+@pytest.mark.parametrize("extreme", sorted(SEARCH_EXTREMES))
+def test_search_constants_are_invisible(block_fleet, extreme, monkeypatch):
+    ds, default = block_fleet
+    monkeypatch.setattr(npc, *SEARCH_EXTREMES[extreme])
+    assert np.array_equal(npc_grouping_targets(ds), default)
+
+
+@pytest.mark.parametrize("extreme", sorted(SEARCH_EXTREMES))
+@pytest.mark.parametrize("k", [1, 3])
+def test_search_constants_are_invisible_on_exact_ties(extreme, k, monkeypatch):
+    monkeypatch.setattr(npc, *SEARCH_EXTREMES[extreme])
+    ds = _exact_ties(0)
+    cfg = NpcConfig(k_neighbors=k, time_weight=2.0 ** -6, lat_weight=1.0)
+    assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
+
+
+# fleets and weights the index sees at its limits
+DEGENERATE = {
+    # every report in one longitude bin
+    "no-lon": (lambda ds: ds, NpcConfig(lon_weight=0.0)),
+    "no-lat": (lambda ds: ds, NpcConfig(lat_weight=0.0)),
+    # the time reach is unbounded, and every report falls in one slab
+    "no-time-one-time": (lambda ds: replace(ds, t=np.full(len(ds), 100)),
+                         NpcConfig(time_weight=0.0)),
+    "one-meridian": (lambda ds: replace(ds, lon=np.full(len(ds), -76.0)), NpcConfig()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_index_inputs_match_bruteforce(case):
+    reshape, cfg = DEGENERATE[case]
+    ds = reshape(generate_fleet(small_mixed_config(70, n_vessels=3, duration_s=900)))
+    assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
+
+
+# a first radius and weights that make every distance below exact
+EDGE_R = 2.0**-8
+EDGE_CFG = NpcConfig(k_neighbors=1, time_weight=2.0**-10, lat_weight=0.0)
+EAST = -76.0 + EDGE_R
+
+
+@pytest.mark.parametrize("times, lons, rounds", [
+    # report 1 lies exactly the first radius east of report 0
+    ((0, 0), (-76.0, EAST), 1),
+    # one ulp of longitude farther
+    ((0, 0), (-76.0, np.nextafter(EAST, 0.0)), 2),
+    # report 1 lies exactly the first radius later in weighted time (4 s)
+    ((0, 4), (-76.0, -76.0), 1),
+    # one second later
+    ((0, 5), (-76.0, -76.0), 2),
+    # reports 1 and 2 tie for report 0, east and west of it; report 2's bin
+    # is gathered first, and report 1 must win
+    ((0, 0, 0), (-76.0, EAST, -76.0 - EDGE_R), 1),
+], ids=["lon-at-radius", "lon-one-ulp-past", "time-at-radius", "time-one-second-past",
+        "tie-lower-index-wins"])
+def test_radius_boundary(times, lons, rounds, monkeypatch):
+    """A report at distance exactly R is within the first round's R**2 and
+    decides the round; one a step farther waits for the second round."""
+    monkeypatch.setattr(npc, "_START_RADIUS", EDGE_R)
+    n = len(times)
+    ds = TrackDataset.from_columns(t=times, lat=np.full(n, 37.0), lon=lons,
+                                   sog=np.zeros(n), cog=np.zeros(n))
+    targets = npc_grouping_targets(ds, EDGE_CFG)
+    assert list(targets) == _bruteforce_targets(ds, EDGE_CFG)
+    assert targets[0] == 1
+    assert npc._nearest(ds, EDGE_CFG)[1][0] == rounds
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -383,6 +474,26 @@ def _peak_bytes(call, *args):
     finally:
         tracemalloc.stop()
     return peak
+
+
+@pytest.fixture(scope="module")
+def s1_fleet():
+    return generate_fleet(scenario_s1(7))
+
+
+def test_search_counts_are_pinned(s1_fleet):
+    # rounds of the growing-radius search and cells scored; a change that
+    # widens a round's gather, or needs more rounds, shows here first
+    nbr, counts = npc._nearest(s1_fleet, NpcConfig())
+    targets = npc_grouping_targets(s1_fleet)
+    assert np.all(np.any(nbr == targets[:, None], axis=1))
+    assert counts == (2, 127777)
+
+
+def test_grouping_memory_is_bounded(s1_fleet):
+    # per-report arrays, one chunk's runs and one block of cells: ~1.2 MiB
+    # here, where the windowed search it replaced peaked at 1.33 MiB
+    assert _peak_bytes(npc_grouping_targets, s1_fleet) < 1.32 * 2**20
 
 
 def test_grouping_memory_is_not_quadratic(long_s1):
