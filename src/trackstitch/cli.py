@@ -19,7 +19,7 @@ import numpy as np
 
 from .cbtr import run_cbtr, surviving_targets
 from .export import coordinate_text, export_geojson, export_label_timeline
-from .ingest import IngestError, parse_ais_csv, write_ais_csv
+from .ingest import IngestError, csv_rows, parse_ais_csv, write_ais_csv
 from .metrics import EvalReport, build_report, successor_targets
 from .model import CbtrConfig, ClusterAssignment, TrackDataset, index_mask
 from .npc import NpcConfig, npc_classify, npc_cluster, npc_grouping_targets
@@ -62,9 +62,14 @@ def _sha256_of(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# characters encoded and written at a time, so a text is never held twice
+_WRITE_CHARS = 2 ** 16
+
+
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        for start in range(0, len(text), _WRITE_CHARS):
+            handle.write(text[start:start + _WRITE_CHARS])
 
 
 def _config_from(args: argparse.Namespace, cls):
@@ -105,9 +110,9 @@ def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment,
     """One row per report; ``coords`` is coordinate_text(ds)."""
     n = len(ds)
     flags = (index_mask(n, assignment.endpoints), index_mask(n, assignment.abnormal))
-    rows = map("{},{},{},{},{},{},{}\n".format, range(n), ds.t.tolist(), *coords,
-               assignment.cluster_of.tolist(), *(f.view(np.uint8).tolist() for f in flags))
-    return _ASSIGNMENT_HEADER + "\n" + "".join(rows)
+    columns = [np.arange(n), ds.t, *coords, assignment.cluster_of,
+               *(f.view(np.uint8) for f in flags)]
+    return "".join([_ASSIGNMENT_HEADER + "\n", *csv_rows(columns)])
 
 
 def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
@@ -173,15 +178,21 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(f"clustered {len(ds)} points into {assignment.n_clusters} clusters "
               f"in {runtime:.3f} s (no vessel ids, metrics omitted)")
 
+    # every text is rendered before the first write, so a failing writer
+    # leaves an earlier run's files as they were; the GeoJSON goes first,
+    # as its build needs the most memory and no other text is held yet
+    coords = coordinate_text(ds)
+    texts = {
+        "tracks.geojson": export_geojson(ds, assignment, coords) + "\n",
+        "assignment.csv": _assignment_csv(ds, assignment, coords),
+        "timeline.svg": export_label_timeline(ds, assignment),
+        "manifest.txt": _manifest_text(f"cluster --algo {args.algo}", asdict(cfg),
+                                       _sha256_of(args.input), report),
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    coords = coordinate_text(ds)
-    _write_text(out / "assignment.csv", _assignment_csv(ds, assignment, coords))
-    _write_text(out / "tracks.geojson", export_geojson(ds, assignment, coords) + "\n")
-    _write_text(out / "timeline.svg", export_label_timeline(ds, assignment))
-    _write_text(out / "manifest.txt",
-                _manifest_text(f"cluster --algo {args.algo}", asdict(cfg),
-                               _sha256_of(args.input), report))
+    for name, text in texts.items():
+        _write_text(out / name, text)
     print(f"wrote {out / 'assignment.csv'}")
     return 0
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ingest import number_text
 from .model import ClusterAssignment, TrackDataset, index_mask, label_codes, label_groups
 
 
 def coordinate_text(ds: TrackDataset) -> tuple[list[str], list[str]]:
     """Every lat and lon as float.__repr__ writes it, the form json and the
     assignment CSV share."""
-    return list(map(repr, ds.lat.tolist())), list(map(repr, ds.lon.tolist()))
+    return number_text(ds.lat), number_text(ds.lon)
 
 
 # json.dumps(..., indent=2) layout of the fixed FeatureCollection schema
@@ -48,20 +49,21 @@ def export_geojson(ds: TrackDataset, assignment: ClusterAssignment,
     lat_text, lon_text = coords or coordinate_text(ds)
     order, bounds = label_groups(assignment.cluster_of, assignment.n_clusters)
     members = order.tolist()
-    points = list(map(_POINT.format, map(lon_text.__getitem__, members),
-                      map(lat_text.__getitem__, members)))
+    lons, lats = list(map(lon_text.__getitem__, members)), list(map(lat_text.__getitem__, members))
     ends = order[index_mask(len(ds), assignment.endpoints)[order]]
     _, end_bounds = label_groups(assignment.cluster_of[ends], assignment.n_clusters)
     end_text = list(map(_ENDPOINT.format, ends.tolist()))
     features = []
     for cid in range(assignment.n_clusters):
         a, b = bounds[cid], bounds[cid + 1]
-        track = points[a:b] * 2 if b - a == 1 else points[a:b]
-        features.append(_FEATURE.format(
-            _json_list(track, " " * 8), cid, b - a,
-            _json_list(end_text[end_bounds[cid]:end_bounds[cid + 1]], " " * 8)))
-    return ('{\n  "type": "FeatureCollection",\n  "features": '
-            + _json_list(features, "  ") + "\n}")
+        # one feature's points at a time, so no point's text outlives its feature
+        track = list(map(_POINT.format, lons[a:b], lats[a:b]))
+        features += [",\n", _FEATURE.format(
+            _json_list(track * 2 if b - a == 1 else track, " " * 8), cid, b - a,
+            _json_list(end_text[end_bounds[cid]:end_bounds[cid + 1]], " " * 8))]
+    # the document in one join, so its text is never held twice
+    body = ["[\n", *features[1:], "\n  ]"] if features else ["[]"]
+    return "".join(['{\n  "type": "FeatureCollection",\n  "features": ', *body, "\n}"])
 
 
 def _extents(t: np.ndarray, labels: np.ndarray, n_groups: int) -> tuple[list[int], list[int]]:

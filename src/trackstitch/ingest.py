@@ -11,6 +11,10 @@ Parsing runs by column: one ``np.loadtxt`` pass splits the rows and converts
 the four float columns, and numpy masks check their ranges.  Only when that
 pass fails does a per-line scan run, to name the first line that breaks the
 format.
+
+Writing runs by column too: ``number_text`` renders a whole column of
+numbers in one call, exactly as ``repr`` (for floats) or ``str`` (for
+integers) would.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import warnings
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import TextIO, Union
+from typing import Iterator, TextIO, Union
 
 import numpy as np
+import orjson
 
 from .model import TrackDataset, first_bad_report
 
@@ -196,6 +201,46 @@ def _csv_field(value: str) -> str:
     return buffer.getvalue()[:-2]
 
 
+def number_text(values: np.ndarray) -> list[str]:
+    """Each number of a 1-D float64 or integer array as ``repr`` (floats) or
+    ``str`` (integers) writes it.
+
+    orjson renders the whole column with Ryu's shortest round-trip digits,
+    the digits ``repr`` picks.  Only its notation differs, for floats that
+    ``repr`` writes in exponent form (0 < |x| < 1e-4 or |x| >= 1e16) and for
+    NaN and infinities, which orjson writes as ``null``; those few are
+    rendered again by ``repr``.
+    """
+    values = np.ascontiguousarray(values)
+    if not values.size:
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if values.dtype.kind == "f":
+        magnitude = np.abs(values)
+        fixed = (values == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+        odd = np.flatnonzero(~fixed)
+        for i, value in zip(odd.tolist(), values[odd].tolist()):
+            texts[i] = repr(value)
+    return texts
+
+
+# rows rendered at a time, so no field's text is held for every report
+_BLOCK_ROWS = 2 ** 10
+
+
+def csv_rows(columns: list) -> Iterator[str]:
+    """The rows of equal-length columns as CSV text, a block of rows at a time.
+
+    A numpy column is rendered by ``number_text``; any other column is a
+    sequence of field texts, taken as they are.
+    """
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        fields = [number_text(c[rows]) if isinstance(c, np.ndarray) else c[rows]
+                  for c in columns]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
 def write_ais_csv(ds: TrackDataset, dest: Union[str, Path, TextIO]) -> None:
     """Emit a dataset in the same schema parse_ais_csv accepts.
 
@@ -203,19 +248,17 @@ def write_ais_csv(ds: TrackDataset, dest: Union[str, Path, TextIO]) -> None:
     counts as 0).  Floats are written with shortest round-trip formatting,
     so a parse -> write -> parse cycle reproduces the fields exactly.
     """
-    columns = [map(str, (ds.t + int(ds.epoch or 0)).tolist())]
-    columns += [map(repr, values.tolist()) for values in (ds.lat, ds.lon, ds.sog, ds.cog)]
+    columns = [ds.t + int(ds.epoch or 0), ds.lat, ds.lon, ds.sog, ds.cog]
     header = ",".join(REQUIRED_COLUMNS)
     if ds.has_vids():
         quoted = {vid: _csv_field(vid) for vid in set(ds.vids)}
-        columns.insert(0, map(quoted.__getitem__, ds.vids))
+        columns.insert(0, list(map(quoted.__getitem__, ds.vids)))
         header = "vid," + header
-    row = ",".join(["{}"] * len(columns)) + "\n"
-    text = header + "\n" + "".join(map(row.format, *columns))
     own = isinstance(dest, (str, Path))
     handle = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
-        handle.write(text)
+        handle.write(header + "\n")
+        handle.writelines(csv_rows(columns))
     finally:
         if own:
             handle.close()

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -6,9 +7,11 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference
+from trackstitch import cli, ingest
 from trackstitch.cli import main
 from trackstitch.ingest import parse_ais_csv, write_ais_csv
 from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
@@ -169,6 +172,60 @@ def test_manifest_replays_byte_identical(fleet_csv, tmp_path):
     assert main(argv + [str(fleet_csv), "--out", str(b)]) == 0
     for name in OUT_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_failing_writer_leaves_an_earlier_run_unchanged(fleet_csv, tmp_path, monkeypatch):
+    other = tmp_path / "other.csv"
+    assert main(["synth", "--n-vessels", "4", "--duration-s", "600", "--seed", "6",
+                 "--out", str(other)]) == 0
+    out = tmp_path / "run"
+    assert main(["cluster", str(other), "--out", str(out)]) == 0
+    earlier = {name: (out / name).read_bytes() for name in OUT_FILES}
+
+    def failing(ds, assignment):
+        raise ValueError("timeline failed")
+
+    monkeypatch.setattr(cli, "export_label_timeline", failing)
+    assert main(["cluster", str(fleet_csv), "--out", str(out)]) == 1
+    for name in OUT_FILES:
+        assert (out / name).read_bytes() == earlier[name], name
+    monkeypatch.undo()
+    assert main(["cluster", str(fleet_csv), "--out", str(out)]) == 0
+    assert (out / "assignment.csv").read_bytes() != earlier["assignment.csv"]
+
+
+def test_assignment_row_blocks_are_invisible(fleet_csv, tmp_path, monkeypatch):
+    whole = tmp_path / "whole"
+    assert main(["cluster", str(fleet_csv), "--out", str(whole)]) == 0
+    for rows in (1, 3, 100):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", rows)
+        out = tmp_path / f"rows{rows}"
+        assert main(["cluster", str(fleet_csv), "--out", str(out)]) == 0
+        assert (out / "assignment.csv").read_bytes() == (whole / "assignment.csv").read_bytes()
+
+
+def test_coordinates_near_zero_keep_their_repr_form(tmp_path):
+    # one vessel heading north-east across the equator and the prime meridian,
+    # 3e-5 degrees a step, so |lat| and |lon| fall below 1e-4 near the crossing
+    steps = np.arange(-12, 13)
+    ds = TrackDataset.from_columns(10 * (steps + 12), steps * 3e-5, steps * 3e-5 + 1e-6,
+                                   np.full(25, 1.3), np.full(25, 45.0),
+                                   vids=["A"] * 25, epoch="1700000000")
+    fleet = tmp_path / "equator.csv"
+    write_ais_csv(ds, str(fleet))
+    again = tmp_path / "again.csv"
+    write_ais_csv(parse_ais_csv(str(fleet)), str(again))
+    assert again.read_bytes() == fleet.read_bytes()
+
+    out = tmp_path / "run"
+    assert main(["cluster", str(fleet), "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "assignment.csv").read_text().splitlines()))[1:]
+    assert [row[2] for row in rows] == list(map(repr, ds.lat.tolist()))
+    assert [row[3] for row in rows] == list(map(repr, ds.lon.tolist()))
+    assert rows[13][2:4] == ["3e-05", "3.1e-05"]
+    text = (out / "tracks.geojson").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert "[\n            3.1e-05,\n            3e-05\n          ]" in text
 
 
 def test_cluster_npc_algo(fleet_csv, tmp_path, capsys):

@@ -2,8 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from trackstitch.ingest import IngestError, parse_ais_csv, write_ais_csv
+from trackstitch import ingest
+from trackstitch.ingest import IngestError, number_text, parse_ais_csv, write_ais_csv
 from trackstitch.model import AisPoint, TrackDataset
 
 LABELED = """vid,timestamp,lat,lon,sog,cog
@@ -228,3 +230,68 @@ def test_invalid_utf8_names_its_offset_in_the_whole_file(tmp_path):
     with pytest.raises(UnicodeDecodeError) as exc:
         parse_ais_csv(path)
     assert f"position {data.index(bytes([0xff]))}:" in str(exc.value)
+
+
+def _repr_texts(values: np.ndarray) -> list[str]:
+    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True)))
+def test_number_text_equals_repr_on_any_float(values):
+    x = np.array(values, dtype=np.float64)
+    assert number_text(x) == _repr_texts(x)
+
+
+def test_number_text_equals_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(2018)
+    bits = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    assert number_text(x) == _repr_texts(x)
+    # the same mantissas and signs with binary exponents 2**-14 .. 2**53, the
+    # magnitudes repr writes without an exponent
+    exponents = rng.integers(1023 - 14, 1023 + 54, size=bits.size).astype(np.uint64)
+    x = ((bits & ~np.uint64(0x7FF << 52)) | (exponents << np.uint64(52))).view(np.float64)
+    assert number_text(x) == _repr_texts(x)
+
+
+def test_number_text_equals_repr_at_the_edges():
+    edges = [0.0, -0.0, 1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16,
+             np.nextafter(1e16, 0), 5e-324, np.finfo(np.float64).tiny,
+             np.finfo(np.float64).max, np.nan, np.inf, -np.inf, 0.1, 1.0, 100.0]
+    x = np.array(edges + [-e for e in edges], dtype=np.float64)
+    assert number_text(x) == _repr_texts(x)
+    assert number_text(np.array([6.049812043329439e-05, 1e16])) == ["6.049812043329439e-05",
+                                                                     "1e+16"]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_number_text_equals_str_on_integers(dtype):
+    info = np.iinfo(dtype)
+    values = {info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max}
+    x = np.array(sorted(v for v in values if info.min <= v <= info.max), dtype=dtype)
+    assert number_text(x) == _repr_texts(x)
+
+
+def test_number_text_takes_empty_read_only_and_strided_arrays():
+    assert number_text(np.zeros(0)) == []
+    assert number_text(np.zeros(0, dtype=np.int64)) == []
+    x = np.linspace(-1e-3, 1e-3, 41)
+    x.setflags(write=False)
+    assert number_text(x) == _repr_texts(x)
+    assert number_text(x[::3]) == _repr_texts(x[::3])
+    assert number_text(x[::-1]) == _repr_texts(x[::-1])
+    times = np.arange(20, dtype=np.int64)[1::4]
+    assert number_text(times) == ["1", "5", "9", "13", "17"]
+
+
+def test_write_block_boundaries_are_invisible(monkeypatch):
+    ds = TrackDataset.from_columns(np.arange(7), np.linspace(-1e-5, 1e-5, 7), np.arange(7.0),
+                                   np.ones(7), np.zeros(7), vids=list("abcabca"), epoch="5")
+    whole = io.StringIO()
+    write_ais_csv(ds, whole)
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", rows)
+        blocked = io.StringIO()
+        write_ais_csv(ds, blocked)
+        assert blocked.getvalue() == whole.getvalue()
+    assert whole.getvalue().splitlines()[1] == "a,5,-1e-05,0.0,1.0,0.0"
