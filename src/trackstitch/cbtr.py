@@ -43,12 +43,11 @@ class CbtrResult(NamedTuple):
     report: AbnormalReport
 
 
-# report-candidate cells scored per numpy pass at most
+# pending reports searched together, and report-candidate cells scored per
+# numpy pass, at most
+_CHUNK_ROWS = 2048
 _BLOCK_CELLS = 16384
-# window cells (a report and a candidate of its window) per chunk of reports
-# at most; a chunk indexes its candidates once and searches them in rounds
-_CHUNK_CELLS = 2**21
-# the candidate index of a chunk: seconds per time slab, longitude bins
+# the candidate index over all reports: seconds per time slab, longitude bins
 _SLAB_S = 128
 _LON_BINS = 512
 # a row's bound on its error in the first round; each round raises it 4x
@@ -56,7 +55,7 @@ _START_BOUND = 2.5e-7
 
 
 class _Workspace:
-    """Per-report arrays shared by every chunk."""
+    """Per-report arrays shared by every worker."""
 
     __slots__ = ("cfg", "t", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt",
                  "lo", "hi")
@@ -260,66 +259,52 @@ def _tube(index: SlabIndex, ws: _Workspace, rows: np.ndarray, bound: float):
     return index.runs(at, slab, west, east)
 
 
-def _link_chunks(ws: _Workspace, chunks: list[tuple[int, int]],
-                 targets: np.ndarray, errors: np.ndarray, modes: np.ndarray) -> tuple[int, int]:
-    """Link the rows start..stop-1 of each chunk; return how many rounds
-    ran and how many cells were scored.
+def _link_rows(ws: _Workspace, index: SlabIndex, rows: np.ndarray,
+               targets: np.ndarray, errors: np.ndarray, modes: np.ndarray) -> tuple[int, int]:
+    """Link the given rows; return how many rounds ran and how many cells
+    were scored.
 
     Each round gives every pending row the same bound: _START_BOUND at
     first, 4x in each later round.  It scores each row's cells in the
-    _tube that holds every cell that may score below it.  A row is
-    done once its best is below the bound, since every cell that could
-    beat it or tie with it has been scored, or once its tube has covered
-    its whole window.  A new best replaces the old one when its error is
-    lower, or equal at a lower column, so each row gets the same link as
-    one scan of its whole window.
+    _tube that holds every cell that may score below it, _CHUNK_ROWS rows
+    at a time.  A row is done once its best is below the bound, since
+    every cell that could beat it or tie with it has been scored, or once
+    its tube has covered its whole window.  A new best replaces the old
+    one when its error is lower, or equal at a lower column, so each row
+    gets the same link as one scan of its whole window.
     """
     scratch = _Scratch()
+    bound = _START_BOUND
     rounds = scored = 0
-    for start, stop in chunks:
-        rows = np.arange(start, stop)
-        rows = rows[ws.hi[rows] > ws.lo[rows]]
-        if not rows.size:
-            continue
-        lo, hi = int(ws.lo[rows[0]]), int(ws.hi[rows[-1]])
-        index = SlabIndex(ws.t[lo:hi], ws.lon[lo:hi], lo, _SLAB_S, _LON_BINS)
-        bound = _START_BOUND
-        while rows.size:
-            at, first, last = _tube(index, ws, rows, bound)
-            seen = np.zeros(rows.size, dtype=np.int64)
+    while rows.size:
+        pending = []
+        for c in range(0, rows.size, _CHUNK_ROWS):
+            part = rows[c:c + _CHUNK_ROWS]
+            at, first, last = _tube(index, ws, part, bound)
+            seen = np.zeros(part.size, dtype=np.int64)
             for run, pos in blocks(first, last, _BLOCK_CELLS):
-                row, col = rows[at[run]], index.cols[pos]
+                row, col = part[at[run]], index.cols[pos]
                 inside = np.flatnonzero((col >= ws.lo[row]) & (col < ws.hi[row]))
                 row, col = row[inside], col[inside]
-                seen += np.bincount(at[run[inside]], minlength=rows.size)
+                seen += np.bincount(at[run[inside]], minlength=part.size)
                 scored += row.size
                 found, col, err, mode = _score_block(ws, scratch, row, col)
                 held = errors[found]
                 better = (err < held) | ((err == held) & (col < targets[found]))
                 found = found[better]
                 targets[found], errors[found], modes[found] = col[better], err[better], mode[better]
-            rounds += 1
-            pending = (errors[rows] >= bound) & (seen < ws.hi[rows] - ws.lo[rows])
-            rows = rows[pending]
-            bound *= 4
+            pending.append(part[(errors[part] >= bound) & (seen < ws.hi[part] - ws.lo[part])])
+        rounds += 1
+        rows = np.concatenate(pending)
+        bound *= 4
     return rounds, scored
-
-
-def _chunks(ws: _Workspace) -> list[tuple[int, int]]:
-    """Contiguous runs of rows: the rows whose earlier rows' window cells
-    number k * _CHUNK_CELLS up to (k + 1) * _CHUNK_CELLS form chunk k."""
-    cells = ws.hi - ws.lo
-    before = np.cumsum(cells) - cells
-    starts = np.flatnonzero(np.diff(before // _CHUNK_CELLS, prepend=-1))
-    bounds = np.append(starts, len(cells)).tolist()
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
                 threads: int = 1) -> LinkSet:
-    """Run link selection for every report, chunk by chunk.
+    """Run link selection for every report over one index of all reports.
 
-    Workers take contiguous runs of chunks; the result is identical for any
+    Workers take contiguous runs of rows; the result is identical for any
     worker count.
     """
     cfg = cfg or CbtrConfig()
@@ -328,18 +313,18 @@ def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
     if threads < 1:
         raise ValueError("threads must be >= 1")
     ws = _Workspace(ds, cfg)
+    index = SlabIndex(ds.t, ds.lon, _SLAB_S, _LON_BINS)
     n = len(ds)
     targets = np.full(n, -1, dtype=np.int64)
     errors = np.full(n, np.inf, dtype=np.float64)
     modes = np.zeros(n, dtype=np.int8)
-    chunks = _chunks(ws)
-    if threads == 1 or len(chunks) < 2:
-        _link_chunks(ws, chunks, targets, errors, modes)
+    parts = np.array_split(np.arange(n), min(threads, n))
+    if len(parts) == 1:
+        _link_rows(ws, index, parts[0], targets, errors, modes)
     else:
-        bounds = np.linspace(0, len(chunks), min(threads, len(chunks)) + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_link_chunks, ws, chunks[a:b], targets, errors, modes)
-                       for a, b in zip(bounds[:-1], bounds[1:])]
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            futures = [pool.submit(_link_rows, ws, index, rows, targets, errors, modes)
+                       for rows in parts]
             for f in futures:
                 f.result()
     errors[targets < 0] = np.nan

@@ -129,6 +129,8 @@ def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
         raise _first_assignment_error(path, lines, exc) from None
     index, t, cluster, endpoint, abnormal = (
         np.ascontiguousarray(table[name]) for name in _ASSIGNMENT_INTS)
+    # any distinct integers name the clusters; number them 0..k-1
+    _, cluster = np.unique(cluster, return_inverse=True)
     assignment = ClusterAssignment(cluster_of=cluster,
                                    endpoints=frozenset(index[endpoint != 0].tolist()),
                                    abnormal=frozenset(index[abnormal != 0].tolist()))

@@ -120,18 +120,13 @@ def export_label_timeline(ds: TrackDataset, assignment: ClusterAssignment) -> st
         '  <text x="8" y="16">vessels (blue) and clusters (red) over time</text>',
     ]
     y = 30
-    for label, t0, t1 in truth_rows:
-        cy = y + row_h / 2
-        lines.append(f'  <text x="8" y="{cy + 3:.2f}">{label.translate(_XML_ESCAPES)}</text>')
-        lines.append(f'  <line x1="{x(t0):.2f}" y1="{cy:.2f}" x2="{x(t1):.2f}" '
-                     f'y2="{cy:.2f}" stroke="#1f77b4" stroke-width="4"/>')
-        y += row_h
-    y += gap
-    for label, t0, t1 in cluster_rows:
-        cy = y + row_h / 2
-        lines.append(f'  <text x="8" y="{cy + 3:.2f}">{label.translate(_XML_ESCAPES)}</text>')
-        lines.append(f'  <line x1="{x(t0):.2f}" y1="{cy:.2f}" x2="{x(t1):.2f}" '
-                     f'y2="{cy:.2f}" stroke="#d62728" stroke-width="4"/>')
-        y += row_h
+    for rows, stroke in ((truth_rows, "#1f77b4"), (cluster_rows, "#d62728")):
+        for label, t0, t1 in rows:
+            cy = y + row_h / 2
+            lines.append(f'  <text x="8" y="{cy + 3:.2f}">{label.translate(_XML_ESCAPES)}</text>')
+            lines.append(f'  <line x1="{x(t0):.2f}" y1="{cy:.2f}" x2="{x(t1):.2f}" '
+                         f'y2="{cy:.2f}" stroke="{stroke}" stroke-width="4"/>')
+            y += row_h
+        y += gap
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

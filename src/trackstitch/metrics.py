@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ClusterAssignment, label_codes
+from .model import ClusterAssignment, label_codes, label_groups
 
 
 def _vessel_codes(vids: Sequence[str | None]) -> tuple[np.ndarray, int]:
@@ -140,14 +140,13 @@ def successor_targets(cluster_of: Sequence[int] | np.ndarray) -> np.ndarray:
     Returns one index per point, -1 for the last report of a cluster (the
     ``LinkSet.targets`` convention).  Used to score an assignment when the
     original link choices are not available, e.g. when evaluating from an
-    assignment file.
+    assignment file.  Cluster labels must be non-negative.
     """
-    labels = np.asarray(cluster_of, dtype=np.int64)
-    # a stable sort keeps each cluster's reports in index order
-    order = np.argsort(labels, kind="stable")
-    same = labels[order[1:]] == labels[order[:-1]]
-    targets = np.full(len(labels), -1, dtype=np.int64)
-    targets[order[:-1][same]] = order[1:][same]
+    order, starts = label_groups(np.asarray(cluster_of, dtype=np.int64))
+    targets = np.full(order.size, -1, dtype=np.int64)
+    targets[order[:-1]] = order[1:]
+    # the last report of each cluster's run has no successor
+    targets[order[np.array(starts[1:], dtype=np.int64) - 1]] = -1
     return targets
 
 

@@ -224,7 +224,7 @@ def _nearest(ds: TrackDataset, cfg: NpcConfig):
     if not all(np.isfinite(f).all() for f in feats):
         raise ValueError("a weighted feature overflows; lower the npc weights")
     lon = cfg.lon_weight * ds.lon
-    index = SlabIndex(ds.t, lon, 0, _SLAB_S, _LON_BINS)
+    index = SlabIndex(ds.t, lon, _SLAB_S, _LON_BINS)
     nbr = np.empty((len(ds), k), dtype=np.int64)
     rows = np.arange(len(ds))
     radius = _START_RADIUS

@@ -1,10 +1,11 @@
 """What link selection and the npc neighbor search share.
 
-Both search in rounds over a (time slab, longitude bin) index of
-time-sorted reports: per slab of time, they gather the reports whose
-longitude falls in an interval, score them in blocks of cells, and keep
-each row's lowest score.  Each search decides its slabs and intervals
-itself.
+Both build one (time slab, longitude bin) index over all the time-sorted
+reports and search it in rounds.  Each round takes every pending row, a
+fixed number of rows at a time: per slab of time, it gathers the reports
+whose longitude falls in an interval, scores them in blocks of cells, and
+keeps each row's lowest score.  Each search decides its slabs and
+intervals itself.
 """
 
 from __future__ import annotations
@@ -13,16 +14,16 @@ import numpy as np
 
 
 class SlabIndex:
-    """Columns first..first+len(t)-1, sorted by (time slab, longitude bin)
-    and ascending within each, so that the columns of one slab over a run
-    of bins are one contiguous run of ``cols``.
+    """Columns 0..len(t)-1, sorted by (time slab, longitude bin) and
+    ascending within each, so that the columns of one slab over a run of
+    bins are one contiguous run of ``cols``.
 
     ``t`` are the columns' times, non-decreasing, cut into slabs of
     ``slab_s`` seconds; ``lon`` their longitudes, cut into ``bins`` equal
     bins over their span.
     """
 
-    def __init__(self, t: np.ndarray, lon: np.ndarray, first: int, slab_s: int, bins: int):
+    def __init__(self, t: np.ndarray, lon: np.ndarray, slab_s: int, bins: int):
         self.slab_s, self.bins = slab_s, bins
         self.t0 = t[0]
         self.count = (t[-1] - self.t0) // slab_s + 1
@@ -31,7 +32,7 @@ class SlabIndex:
         self.scale = bins / max(lon.max() - self.lon0, 1e-200)
         key = (t - self.t0) // slab_s * bins + self.bin(lon)
         order = np.argsort(key, kind="stable")
-        self.key, self.cols = key[order], first + order
+        self.key, self.cols = key[order], order
 
     def bin(self, lon: np.ndarray) -> np.ndarray:
         """Longitude bin of each value: a non-decreasing function of it."""

@@ -1,20 +1,26 @@
-"""The benchmark's tracing points still name the layer functions they time.
+"""The benchmark's entry points into the library still hold.
 
 bench/tracing.py replaces layer functions at the module attributes where
 their callers look them up.  A renamed or re-routed function would leave a
-layer untimed, or timed twice, without any benchmark call failing.
+layer untimed, or timed twice, without any benchmark call failing.  The
+benchmark's own tests are not collected with these, so the CLI arguments
+and the split that bench/harness.py relies on are checked here too.
 """
 
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from trackstitch import cli
+import numpy as np
+
+from trackstitch import cli, synth
 from trackstitch.ingest import write_ais_csv
 from trackstitch.synth import generate_fleet
 
 from conftest import small_mixed_config
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import harness  # noqa: E402
 import tracing  # noqa: E402
 
 
@@ -31,3 +37,17 @@ def test_npc_cluster_groups_once(tmp_path, capsys):
         assert cli.main(["cluster", str(fleet), "--algo", "npc",
                          "--out", str(tmp_path / "out")]) == 0
     assert [s.name for s in tracer.spans].count("npc.grouping") == 1
+
+
+def test_parser_takes_the_benchmark_cluster_arguments():
+    args = cli.build_parser().parse_args(["cluster", "f", "--out", "o", "--threads", "2"])
+    assert (args.cmd, args.input, args.out, args.threads) == ("cluster", "f", "o", 2)
+
+
+def test_harness_split_matches_the_library_split():
+    fleet = generate_fleet(small_mixed_config(3, n_vessels=3, duration_s=600))
+    for ours, lib in zip(harness.even_odd_split(fleet), synth.even_odd_split(fleet)):
+        assert len(ours) > 0
+        for f in fields(ours):
+            a, b = getattr(ours, f.name), getattr(lib, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name

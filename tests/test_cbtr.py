@@ -251,10 +251,10 @@ def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
     ("_SLAB_S", 1), ("_SLAB_S", CFG.window_s + 1),
     ("_LON_BINS", 1), ("_LON_BINS", 4096),
     ("_START_BOUND", 1e-30), ("_START_BOUND", 1.0),
-    # every chunk holds one row
-    ("_CHUNK_CELLS", 1),
+    # every chunk holds one row, or the whole fleet
+    ("_CHUNK_ROWS", 1), ("_CHUNK_ROWS", 10**9),
 ], ids=["slab-1s", "slab-past-window", "bins-1", "bins-4096", "start-1e-30", "start-1",
-        "chunk-one-row"])
+        "chunk-one-row", "chunk-all-rows"])
 def test_search_constants_are_invisible(block_fleet, name, value, threads, monkeypatch):
     monkeypatch.setattr(cbtr, name, value)
     _assert_invisible(*block_fleet, threads)
@@ -535,14 +535,19 @@ def _north_sog(step):
     raise AssertionError(f"no speed gives {step} degrees a second")
 
 
+def _index(ds):
+    """The one index build_links searches: every report."""
+    return SlabIndex(ds.t, ds.lon, cbtr._SLAB_S, cbtr._LON_BINS)
+
+
 def _search_counts(ds, cfg):
     """build_links for one worker, with the (rounds, cells scored) that
-    _link_chunks reports."""
+    _link_rows reports."""
     ws = cbtr._Workspace(ds, cfg)
     targets = np.full(len(ds), -1)
     errors = np.full(len(ds), np.inf)
     modes = np.zeros(len(ds), dtype=np.int8)
-    counts = cbtr._link_chunks(ws, cbtr._chunks(ws), targets, errors, modes)
+    counts = cbtr._link_rows(ws, _index(ds), np.arange(len(ds)), targets, errors, modes)
     return targets, errors, counts
 
 
@@ -633,10 +638,8 @@ def _tube_track(west_1, west_2):
 
 def _tube_holds(ds, cfg, i, j, bound):
     """Whether row i's tube at ``bound`` holds column j."""
-    ws = cbtr._Workspace(ds, cfg)
-    lo, hi = int(ws.lo[i]), int(ws.hi[i])
-    index = SlabIndex(ws.t[lo:hi], ws.lon[lo:hi], lo, cbtr._SLAB_S, cbtr._LON_BINS)
-    _, first, last = cbtr._tube(index, ws, np.array([i]), bound)
+    index = _index(ds)
+    _, first, last = cbtr._tube(index, cbtr._Workspace(ds, cfg), np.array([i]), bound)
     return any(j in index.cols[a:b] for a, b in zip(first, last))
 
 
@@ -716,7 +719,7 @@ def test_cell_counts_are_pinned():
     links = build_links(ds, CFG)
     assert np.array_equal(targets, links.targets)
     assert np.array_equal(errors[targets >= 0], links.errors[targets >= 0])
-    assert counts == (10, 1696)
+    assert counts == (10, 1700)
 
 
 @pytest.mark.parametrize("step", [1, -1], ids=["table-columns", "reversed-table-columns"])
@@ -738,9 +741,9 @@ def test_strided_columns_give_the_same_links(step):
 
 def test_link_memory_is_bounded():
     # the benchmark's harbor hour: ~12.4k reports and 36.8M window cells,
-    # whose 2**21 cells a chunk as float64 alone would take 16 MB.  The
-    # search holds one block of cells and one round's runs of a chunk; the
-    # column sweep it replaced peaked at 7.6 MB here
+    # which as float64 alone would take 294 MB.  The search holds the index,
+    # one block of cells and the tube runs of _CHUNK_ROWS rows; the column
+    # sweep it replaced peaked at 7.6 MB here
     ds = generate_fleet(SynthConfig(n_vessels=200, duration_s=3600, noise_sigma_m=10.0, seed=7))
     tracemalloc.start()
     try:

@@ -148,6 +148,25 @@ def test_eval_reads_assignment_variants(fleet_csv, tmp_path, capsys, variant):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("labels", [(0, 7), (0, -1), (7, 0)])
+def test_eval_renumbers_cluster_labels(tmp_path, capsys, labels):
+    # two vessels alternate over four reports, each in a cluster of its own
+    truth = tmp_path / "truth.csv"
+    write_ais_csv(TrackDataset.from_points(
+        [AisPoint(10 * k, 37.0, -76.0 + 0.01 * (k % 2), 5.0, 0.0, "AB"[k % 2])
+         for k in range(4)]), str(truth))
+    reports = []
+    for a, b in ((0, 1), labels):
+        path = tmp_path / f"assignment_{a}_{b}.csv"
+        path.write_text(ASSIGNMENT_HEAD + "".join(
+            f"{k},{10 * k},1.0,2.0,{(a, b)[k % 2]},0,0\n" for k in range(4)))
+        assert main(["eval", str(path), str(truth)]) == 0
+        reports.append(capsys.readouterr().out.rsplit("runtime_s", 1)[0])
+    assert "n_clusters_predicted = 2\n" in reports[0]
+    assert "n_vessels_estimated = 2\n" in reports[0]
+    assert reports[1] == reports[0]
+
+
 def test_cluster_rerun_is_byte_identical(fleet_csv, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["cluster", str(fleet_csv), "--out", str(a)]) == 0
