@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cbtr import run_cbtr, surviving_targets
-from .export import coordinate_text, export_geojson, export_label_timeline
+from .export import export_geojson, export_label_timeline
 from .ingest import IngestError, csv_rows, parse_ais_csv, write_ais_csv
 from .metrics import EvalReport, build_report, successor_targets
 from .model import CbtrConfig, ClusterAssignment, TrackDataset, index_mask
@@ -105,12 +105,11 @@ _ASSIGNMENT_ROW = np.dtype([(name, np.int64 if name in _ASSIGNMENT_INTS else "U0
                             for name in _ASSIGNMENT_HEADER.split(",")])
 
 
-def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment,
-                    coords: tuple[list[str], list[str]]) -> str:
-    """One row per report; ``coords`` is coordinate_text(ds)."""
+def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment) -> str:
+    """One row per report; lat and lon as ``repr`` writes them."""
     n = len(ds)
     flags = (index_mask(n, assignment.endpoints), index_mask(n, assignment.abnormal))
-    columns = [np.arange(n), ds.t, *coords, assignment.cluster_of,
+    columns = [np.arange(n), ds.t, ds.lat, ds.lon, assignment.cluster_of,
                *(f.view(np.uint8) for f in flags)]
     return "".join([_ASSIGNMENT_HEADER + "\n", *csv_rows(columns)])
 
@@ -180,19 +179,21 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(f"clustered {len(ds)} points into {assignment.n_clusters} clusters "
               f"in {runtime:.3f} s (no vessel ids, metrics omitted)")
 
-    # every text is rendered before the first write, so a failing writer
+    # every output is rendered before the first write, so a failing writer
     # leaves an earlier run's files as they were; the GeoJSON goes first,
     # as its build needs the most memory and no other text is held yet
-    coords = coordinate_text(ds)
+    geojson = export_geojson(ds, assignment)
     texts = {
-        "tracks.geojson": export_geojson(ds, assignment, coords) + "\n",
-        "assignment.csv": _assignment_csv(ds, assignment, coords),
+        "assignment.csv": _assignment_csv(ds, assignment),
         "timeline.svg": export_label_timeline(ds, assignment),
         "manifest.txt": _manifest_text(f"cluster --algo {args.algo}", asdict(cfg),
                                        _sha256_of(args.input), report),
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    with open(out / "tracks.geojson", "wb") as handle:
+        handle.write(geojson)
+        handle.write(b"\n")
     for name, text in texts.items():
         _write_text(out / name, text)
     print(f"wrote {out / 'assignment.csv'}")

@@ -7,63 +7,47 @@ stay in time order.
 
 from __future__ import annotations
 
-import numpy as np
+import json
 
-from .ingest import number_text
+import numpy as np
+import orjson
+
+from .ingest import fixed_notation
 from .model import ClusterAssignment, TrackDataset, index_mask, label_codes, label_groups
 
 
-def coordinate_text(ds: TrackDataset) -> tuple[list[str], list[str]]:
-    """Every lat and lon as float.__repr__ writes it, the form json and the
-    assignment CSV share."""
-    return number_text(ds.lat), number_text(ds.lon)
-
-
-# json.dumps(..., indent=2) layout of the fixed FeatureCollection schema
-_POINT = "          [\n            {},\n            {}\n          ]"
-_ENDPOINT = "          {}"
-_FEATURE = ('    {{\n      "type": "Feature",\n      "geometry": {{\n'
-            '        "type": "LineString",\n        "coordinates": {}\n      }},\n'
-            '      "properties": {{\n        "cluster_id": {},\n        "point_count": {},\n'
-            '        "endpoints": {}\n      }}\n    }}')
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """A json list whose items are already rendered one level below indent."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-
-
-def export_geojson(ds: TrackDataset, assignment: ClusterAssignment,
-                   coords: tuple[list[str], list[str]] | None = None) -> str:
-    """One LineString feature per cluster, points in time order, as GeoJSON text.
+def export_geojson(ds: TrackDataset, assignment: ClusterAssignment) -> bytes:
+    """One LineString feature per cluster, points in time order, as GeoJSON
+    UTF-8 bytes.
 
     A single-report cluster repeats its coordinate so the geometry stays a
     valid LineString.  Feature properties carry the cluster id, its size,
-    and which of its points are flagged as track ends.  The text is exactly
-    what ``json.dumps(..., indent=2)`` writes for the same document, without
-    a trailing newline.  ``coords`` is ``coordinate_text(ds)``, for a caller
-    that already has it.
+    and which of its points are flagged as track ends.  The bytes are
+    exactly what ``json.dumps(..., indent=2)`` writes for the same document,
+    without a trailing newline.  orjson writes them, unless a coordinate is
+    one that ``repr`` writes in exponent form (or NaN or an infinity), which
+    only ``json.dumps`` writes the same way.
     """
     if len(ds) != len(assignment):
         raise ValueError("dataset and assignment must align")
-    lat_text, lon_text = coords or coordinate_text(ds)
     order, bounds = label_groups(assignment.cluster_of, assignment.n_clusters)
-    members = order.tolist()
-    lons, lats = list(map(lon_text.__getitem__, members)), list(map(lat_text.__getitem__, members))
+    points = np.column_stack((ds.lon[order], ds.lat[order]))
     ends = order[index_mask(len(ds), assignment.endpoints)[order]]
     _, end_bounds = label_groups(assignment.cluster_of[ends], assignment.n_clusters)
-    end_text = list(map(_ENDPOINT.format, ends.tolist()))
     features = []
     for cid in range(assignment.n_clusters):
         a, b = bounds[cid], bounds[cid + 1]
-        # one feature's points at a time, so no point's text outlives its feature
-        track = list(map(_POINT.format, lons[a:b], lats[a:b]))
-        features += [",\n", _FEATURE.format(
-            _json_list(track * 2 if b - a == 1 else track, " " * 8), cid, b - a,
-            _json_list(end_text[end_bounds[cid]:end_bounds[cid + 1]], " " * 8))]
-    # the document in one join, so its text is never held twice
-    body = ["[\n", *features[1:], "\n  ]"] if features else ["[]"]
-    return "".join(['{\n  "type": "FeatureCollection",\n  "features": ', *body, "\n}"])
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "LineString",
+                         "coordinates": points[[a, a]] if b - a == 1 else points[a:b]},
+            "properties": {"cluster_id": cid, "point_count": b - a,
+                           "endpoints": ends[end_bounds[cid]:end_bounds[cid + 1]]},
+        })
+    doc = {"type": "FeatureCollection", "features": features}
+    if fixed_notation(points).all():
+        return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    return json.dumps(doc, indent=2, default=np.ndarray.tolist).encode()
 
 
 def _extents(t: np.ndarray, labels: np.ndarray, n_groups: int) -> tuple[list[int], list[int]]:

@@ -201,6 +201,14 @@ def _csv_field(value: str) -> str:
     return buffer.getvalue()[:-2]
 
 
+def fixed_notation(values: np.ndarray) -> np.ndarray:
+    """Where a float array's numbers are ones that ``repr`` writes in fixed
+    notation, as orjson does: zero, and 1e-4 <= |x| < 1e16.  False for
+    exponent-form values and for NaN and infinities."""
+    magnitude = np.abs(values)
+    return (values == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+
+
 def number_text(values: np.ndarray) -> list[str]:
     """Each number of a 1-D float64 or integer array as ``repr`` (floats) or
     ``str`` (integers) writes it.
@@ -216,9 +224,7 @@ def number_text(values: np.ndarray) -> list[str]:
         return []
     texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     if values.dtype.kind == "f":
-        magnitude = np.abs(values)
-        fixed = (values == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
-        odd = np.flatnonzero(~fixed)
+        odd = np.flatnonzero(~fixed_notation(values))
         for i, value in zip(odd.tolist(), values[odd].tolist()):
             texts[i] = repr(value)
     return texts

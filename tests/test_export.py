@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trackstitch import export
 from trackstitch.export import export_geojson, export_label_timeline
 from trackstitch.model import AisPoint, ClusterAssignment, TrackDataset
 
@@ -35,7 +36,7 @@ def test_geojson_structure():
     assert track["geometry"]["coordinates"] == [[-76.0, 37.0], [-75.99, 37.0]]
     assert track["properties"] == {"cluster_id": 0, "point_count": 2,
                                    "endpoints": [2]}
-    assert text == json.dumps(doc, indent=2)
+    assert text == json.dumps(doc, indent=2).encode()
 
 
 def test_geojson_singleton_repeats_coordinate():
@@ -108,22 +109,58 @@ def _geojson_document(ds, assignment):
     return {"type": "FeatureCollection", "features": features}
 
 
-coordinate = st.tuples(st.floats(-90, 90), st.floats(-180, 180))
+def _fleet(lat, lon, cluster_of, endpoints):
+    """One report a second at the given coordinates, and their assignment."""
+    n = len(lat)
+    ds = TrackDataset(t=np.arange(n), lat=np.array(lat, dtype=float),
+                      lon=np.array(lon, dtype=float), sog=np.zeros(n), cog=np.zeros(n),
+                      vids=None, alpha=1.0)
+    return ds, ClusterAssignment(cluster_of=np.array(cluster_of, dtype=np.int64),
+                                 endpoints=frozenset(endpoints), abnormal=frozenset())
+
+
+# cluster 1 has no reports and cluster 2 has one
+_CLUSTER_OF = [0, 2, 0, 3, 3]
+_ENDPOINTS = {2, 4}
+
+
+def test_geojson_in_fixed_notation_is_dumped_by_orjson(monkeypatch):
+    ds, assignment = _fleet([37.0, -0.0, 1e-4, 36.125, 0.0], [-76.0, 0.0, -75.99, 180.0, -0.0],
+                            _CLUSTER_OF, _ENDPOINTS)
+    expected = json.dumps(_geojson_document(ds, assignment), indent=2).encode()
+    # every coordinate is one orjson writes as repr does, so json is not needed
+    monkeypatch.setattr(export, "json", None)
+    assert export_geojson(ds, assignment) == expected
+
+
+def test_geojson_in_exponent_notation_is_dumped_by_json(monkeypatch):
+    below = float(np.nextafter(1e-4, 0))
+    ds, assignment = _fleet([3e-05, -0.0, 0.0, 1e-4, below], [-0.0, 1e-4, below, 3e-05, 0.0],
+                            _CLUSTER_OF, _ENDPOINTS)
+    expected = json.dumps(_geojson_document(ds, assignment), indent=2).encode()
+    # orjson would write 3e-05 as 0.00003
+    monkeypatch.setattr(export, "orjson", None)
+    text = export_geojson(ds, assignment)
+    assert text == expected
+    assert b"            3e-05" in text and b"9.999999999999999e-05" in text
+
+
+def _near_zero_or(low, high):
+    return st.floats(low, high) | st.floats(-2e-4, 2e-4)
+
+
+coordinate = st.tuples(_near_zero_or(-90, 90), _near_zero_or(-180, 180))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(coordinate, st.integers(0, 5), st.booleans()), max_size=12))
 def test_geojson_is_json_dumps_text(reports):
-    # cluster ids may skip values, so empty features are covered too
-    n = len(reports)
-    ds = TrackDataset(t=np.arange(n), lat=np.array([c[0] for c, _, _ in reports], dtype=float),
-                      lon=np.array([c[1] for c, _, _ in reports], dtype=float),
-                      sog=np.zeros(n), cog=np.zeros(n), vids=None, alpha=1.0)
-    assignment = ClusterAssignment(
-        cluster_of=np.array([cid for _, cid, _ in reports], dtype=np.int64),
-        endpoints=frozenset(i for i, (_, _, end) in enumerate(reports) if end),
-        abnormal=frozenset())
-    expected = json.dumps(_geojson_document(ds, assignment), indent=2)
+    # cluster ids may skip values, so empty features are covered too; near-zero
+    # coordinates reach the exponent-form path
+    ds, assignment = _fleet([c[0] for c, _, _ in reports], [c[1] for c, _, _ in reports],
+                            [cid for _, cid, _ in reports],
+                            [i for i, (_, _, end) in enumerate(reports) if end])
+    expected = json.dumps(_geojson_document(ds, assignment), indent=2).encode()
     assert export_geojson(ds, assignment) == expected
 
 
