@@ -57,8 +57,7 @@ _START_BOUND = 2.5e-7
 class _Workspace:
     """Per-report arrays shared by every worker."""
 
-    __slots__ = ("cfg", "t", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt",
-                 "lo", "hi")
+    __slots__ = ("cfg", "t", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt")
 
     def __init__(self, ds: TrackDataset, cfg: CbtrConfig):
         self.cfg = cfg
@@ -74,7 +73,6 @@ class _Workspace:
         span = min(cfg.window_s, int(self.tf[-1] - self.tf[0]))
         self.tt = np.multiply(cfg.time_weight_moving, np.arange(1.0, span + 1))
         self.tt *= self.tt
-        self.lo, self.hi = _window_bounds(ds.t, ds.t, cfg.window_s)
 
 
 def _window_bounds(t: np.ndarray, at, window_s: int):
@@ -223,40 +221,73 @@ def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.n
 
 def _tube(index: SlabIndex, ws: _Workspace, rows: np.ndarray, bound: float):
     """The runs of ``index.cols`` that hold every cell of ``rows`` that may
-    score below ``bound``, as (position in rows, first, stop), row by row;
-    they may hold cells outside a row's window as well.
+    score below ``bound``, as (position in rows, first, stop, south, north),
+    row by row.  A run's cells whose latitude lies outside [south, north]
+    cannot score below the bound either; the runs may hold cells outside a
+    row's window as well.
 
-    A moving cell scores at least its time term and at least fo**2 / 2,
-    a steady one at least dlon**2.  So a moving cell below the bound lies
-    up to ``reach`` seconds on, with a longitude within ``radius`` of the
-    row's dead-reckoned one, and a steady one within ``radius`` of the
-    row's own longitude.
+    A moving cell scores at least its time term, fo**2 / 2 and fl**2 / 2, a
+    steady one at least dlon**2 and its latitude term.  So a moving cell
+    below the bound lies up to ``reach`` seconds on, within ``radius`` of
+    the row's dead-reckoned longitude and ``rise`` of its dead-reckoned
+    latitude, and a steady one as near the row's own position.
     """
     # dt <= reach exactly where the kernel's time term is below bound
     reach = int(np.searchsorted(ws.tt, bound))
     radius = np.sqrt(2.0 * bound) * (1 + 2.0**-40)
+    rise = radius / abs(ws.alpha)
     t = ws.t[rows]
     # a slow row may pair as steady anywhere in its window
     at, slab = index.slabs(t + 1, t + np.where(ws.slow[rows], ws.cfg.window_s, reach))
     # the moving cells of each slab lie within its clipped span of dt; the
     # kernel's dead reckoning is monotone in dt, so the span's ends bound it
-    start = slab * index.slab_s + index.t0
-    ta = np.maximum(start, (t + 1)[at])
-    tb = np.minimum(start + (index.slab_s - 1), (t + reach)[at])
-    tf, ve, lon = ws.tf[rows][at], ws.ve[rows][at], ws.lon[rows][at]
-    west = ve * (ta - tf) + lon
-    east = ve * (tb - tf) + lon
-    west, east = np.minimum(west, east), np.maximum(west, east)
+    start = index.begins(slab)
+    row = rows[at]
+    tf = ws.tf[row]
+    ta = np.maximum(start, t[at] + 1) - tf
+    tb = np.minimum(start + (index.slab_s - 1), t[at] + reach) - tf
     # past reach a slow row's slab holds only its steady cells
-    slow = np.flatnonzero(ws.slow[rows][at])
-    if slow.size:
-        moving = ta[slow] <= tb[slow]
-        lon = lon[slow]
-        west[slow] = np.where(moving, np.minimum(west[slow], lon), lon)
-        east[slow] = np.where(moving, np.maximum(east[slow], lon), lon)
-    west -= radius
-    east += radius
-    return index.runs(at, slab, west, east)
+    slow = np.flatnonzero(ws.slow[row])
+    moving = ta[slow] <= tb[slow]
+    ends = []
+    for v, x, r in ((ws.ve, ws.lon, radius), (ws.vn, ws.lat, rise)):
+        v, x = v[row], x[row]
+        lo = v * ta + x
+        hi = v * tb + x
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        x = x[slow]
+        lo[slow] = np.where(moving, np.minimum(lo[slow], x), x)
+        hi[slow] = np.where(moving, np.maximum(hi[slow], x), x)
+        lo -= r
+        hi += r
+        ends += [lo, hi]
+    west, east, south, north = ends
+    kept, first, stop = index.runs(slab, west, east)
+    return at[kept], first, stop, south[kept], north[kept]
+
+
+def _boxed(index: SlabIndex, lat: np.ndarray, t: np.ndarray, t_rows: np.ndarray,
+           window_s: int, tube):
+    """The cells of a chunk's ``tube`` that lie within their run's latitudes
+    and their row's window, as (position in the chunk, column), row by row,
+    in batches of at least _BLOCK_CELLS but the last.  ``lat`` and ``t`` are
+    the index's latitudes and times in its own order, so a run's are
+    adjacent; ``t_rows`` are the chunk's times."""
+    at, first, stop, south, north = tube
+    t_at = t_rows[at]
+    places, cols, size = [], [], 0
+    for run, pos in blocks(first, stop, _BLOCK_CELLS):
+        y, dt = lat[pos], t[pos]
+        dt -= t_at[run]
+        box = np.flatnonzero((y >= south[run]) & (y <= north[run]) & (dt > 0) & (dt <= window_s))
+        places.append(at[run[box]])
+        cols.append(index.cols[pos[box]])
+        size += box.size
+        if size >= _BLOCK_CELLS:
+            yield np.concatenate(places), np.concatenate(cols)
+            places, cols, size = [], [], 0
+    if places:
+        yield np.concatenate(places), np.concatenate(cols)
 
 
 def _link_rows(ws: _Workspace, index: SlabIndex, rows: np.ndarray,
@@ -269,31 +300,36 @@ def _link_rows(ws: _Workspace, index: SlabIndex, rows: np.ndarray,
     _tube that holds every cell that may score below it, _CHUNK_ROWS rows
     at a time.  A row is done once its best is below the bound, since
     every cell that could beat it or tie with it has been scored, or once
-    its tube has covered its whole window.  A new best replaces the old
-    one when its error is lower, or equal at a lower column, so each row
-    gets the same link as one scan of its whole window.
+    the cells scored have covered its whole window: a cell that _boxed
+    drops is not counted.  A new best replaces the old one when its error
+    is lower, or equal at a lower column, so each row gets the same link
+    as one scan of its whole window.
     """
     scratch = _Scratch()
+    lat, t = ws.lat[index.cols], ws.t[index.cols]
+    window_s = ws.cfg.window_s
     bound = _START_BOUND
     rounds = scored = 0
     while rows.size:
         pending = []
         for c in range(0, rows.size, _CHUNK_ROWS):
             part = rows[c:c + _CHUNK_ROWS]
-            at, first, last = _tube(index, ws, part, bound)
+            tube = _tube(index, ws, part, bound)
             seen = np.zeros(part.size, dtype=np.int64)
-            for run, pos in blocks(first, last, _BLOCK_CELLS):
-                row, col = part[at[run]], index.cols[pos]
-                inside = np.flatnonzero((col >= ws.lo[row]) & (col < ws.hi[row]))
-                row, col = row[inside], col[inside]
-                seen += np.bincount(at[run[inside]], minlength=part.size)
-                scored += row.size
-                found, col, err, mode = _score_block(ws, scratch, row, col)
-                held = errors[found]
-                better = (err < held) | ((err == held) & (col < targets[found]))
-                found = found[better]
-                targets[found], errors[found], modes[found] = col[better], err[better], mode[better]
-            pending.append(part[(errors[part] >= bound) & (seen < ws.hi[part] - ws.lo[part])])
+            for a, cols in _boxed(index, lat, t, ws.t[part], window_s, tube):
+                seen += np.bincount(a, minlength=part.size)
+                scored += a.size
+                for k in range(0, a.size, _BLOCK_CELLS):
+                    found, col, err, mode = _score_block(ws, scratch, part[a[k:k + _BLOCK_CELLS]],
+                                                         cols[k:k + _BLOCK_CELLS])
+                    held = errors[found]
+                    better = (err < held) | ((err == held) & (col < targets[found]))
+                    found = found[better]
+                    targets[found], errors[found], modes[found] = (col[better], err[better],
+                                                                   mode[better])
+            undecided = np.flatnonzero(errors[part] >= bound)
+            lo, hi = _window_bounds(ws.t, ws.t[part[undecided]], window_s)
+            pending.append(part[undecided[seen[undecided] < hi - lo]])
         rounds += 1
         rows = np.concatenate(pending)
         bound *= 4

@@ -24,9 +24,10 @@ def export_geojson(ds: TrackDataset, assignment: ClusterAssignment) -> bytes:
     valid LineString.  Feature properties carry the cluster id, its size,
     and which of its points are flagged as track ends.  The bytes are
     exactly what ``json.dumps(..., indent=2)`` writes for the same document,
-    without a trailing newline.  orjson writes them, unless a coordinate is
-    one that ``repr`` writes in exponent form (or NaN or an infinity), which
-    only ``json.dumps`` writes the same way.
+    without a trailing newline.  orjson writes them, except for a feature
+    with a coordinate that ``repr`` writes in exponent form (or NaN or an
+    infinity), which only ``json.dumps`` writes the same way: such a
+    feature is dumped by itself, and every feature is indented into place.
     """
     if len(ds) != len(assignment):
         raise ValueError("dataset and assignment must align")
@@ -44,10 +45,16 @@ def export_geojson(ds: TrackDataset, assignment: ClusterAssignment) -> bytes:
             "properties": {"cluster_id": cid, "point_count": b - a,
                            "endpoints": ends[end_bounds[cid]:end_bounds[cid + 1]]},
         })
-    doc = {"type": "FeatureCollection", "features": features}
-    if fixed_notation(points).all():
-        return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
-    return json.dumps(doc, indent=2, default=np.ndarray.tolist).encode()
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+    fixed = fixed_notation(points).all(axis=1)
+    if fixed.all():
+        return orjson.dumps({"type": "FeatureCollection", "features": features}, option=option)
+    odd = set(assignment.cluster_of[order[~fixed]].tolist())
+    texts = [json.dumps(feature, indent=2, default=np.ndarray.tolist).encode() if cid in odd
+             else orjson.dumps(feature, option=option) for cid, feature in enumerate(features)]
+    # each feature sits two levels deep in the document
+    body = b",\n".join(b"    " + text.replace(b"\n", b"\n    ") for text in texts)
+    return b'{\n  "type": "FeatureCollection",\n  "features": [\n' + body + b"\n  ]\n}"
 
 
 def _extents(t: np.ndarray, labels: np.ndarray, n_groups: int) -> tuple[list[int], list[int]]:

@@ -177,7 +177,8 @@ def _round(t: np.ndarray, feats: list[np.ndarray], lon: np.ndarray, index: SlabI
     east = lon[rows][at]
     west = east - reach
     east += reach
-    at, first, stop = index.runs(at, slab, west, east)
+    kept, first, stop = index.runs(slab, west, east)
+    at = at[kept]
     held = np.zeros(rows.size, dtype=np.int64)
     held_col = np.empty((rows.size, k), dtype=np.int64)
     held_d2 = np.empty((rows.size, k))

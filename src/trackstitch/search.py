@@ -13,54 +13,88 @@ from __future__ import annotations
 import numpy as np
 
 
+# the start table holds at most this many entries per report; a fleet whose
+# reports are spread over many slabs gets fewer longitude bins instead
+_TABLE_PER_REPORT = 4
+
+
 class SlabIndex:
     """Columns 0..len(t)-1, sorted by (time slab, longitude bin) and
     ascending within each, so that the columns of one slab over a run of
     bins are one contiguous run of ``cols``.
 
     ``t`` are the columns' times, non-decreasing, cut into slabs of
-    ``slab_s`` seconds; ``lon`` their longitudes, cut into ``bins`` equal
-    bins over their span.
+    ``slab_s`` seconds; ``lon`` their longitudes, cut into equal bins over
+    their span.  Only the slabs that hold a column are indexed, numbered
+    0, 1, ... in time order.  ``start[s * bins + b]`` is the position in
+    ``cols`` of slab s's first column in bin b or later, so bins b..c of
+    slab s are ``cols[start[s * bins + b]:start[s * bins + c + 1]]``.  The
+    table has one entry per (indexed slab, bin) and one more.  ``bins`` is
+    the count asked for, or fewer where that would make the table longer
+    than _TABLE_PER_REPORT entries per column, so its size never depends on
+    the time span.
     """
 
     def __init__(self, t: np.ndarray, lon: np.ndarray, slab_s: int, bins: int):
-        self.slab_s, self.bins = slab_s, bins
-        self.t0 = t[0]
-        self.count = (t[-1] - self.t0) // slab_s + 1
+        self.slab_s, self.t0 = slab_s, t[0]
+        key = (t - self.t0) // slab_s
+        head = np.empty(key.size, dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        # the time slabs that hold a column, ascending since t is sorted
+        self.occupied = key[head]
+        self.bins = min(bins, _TABLE_PER_REPORT * key.size // self.occupied.size)
         self.lon0 = lon.min()
         # a span of 0 puts every column in bin 0
-        self.scale = bins / max(lon.max() - self.lon0, 1e-200)
-        key = (t - self.t0) // slab_s * bins + self.bin(lon)
-        order = np.argsort(key, kind="stable")
-        self.key, self.cols = key[order], order
+        self.scale = self.bins / max(lon.max() - self.lon0, 1e-200)
+        # key: (indexed slab, bin) cell of each column
+        np.cumsum(head, out=key)
+        key -= 1
+        key *= self.bins
+        key += self.bin(lon)
+        self.cols = np.argsort(key, kind="stable")
+        # the first position of each non-empty cell
+        key = key[self.cols]
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        head = np.flatnonzero(head)
+        self.start = np.full(self.occupied.size * self.bins + 1, key.size,
+                             dtype=np.int32 if key.size < 2**31 else np.int64)
+        self.start[key[head]] = head
+        # an empty cell starts where the next non-empty one does
+        np.minimum.accumulate(self.start[::-1], out=self.start[::-1])
 
     def bin(self, lon: np.ndarray) -> np.ndarray:
         """Longitude bin of each value: a non-decreasing function of it."""
         return np.clip((lon - self.lon0) * self.scale, 0, self.bins - 1).astype(np.int64)
 
     def slabs(self, t_from: np.ndarray, t_to: np.ndarray):
-        """Every slab that the times t_from[k]..t_to[k] meet, as (k, slab),
-        k ascending and slabs ascending within each k; none where
+        """Every indexed slab that the times t_from[k]..t_to[k] meet, as
+        (k, slab), k ascending and slabs ascending within each k; none where
         t_to[k] < t_from[k]."""
-        first = np.maximum((t_from - self.t0) // self.slab_s, 0)
-        last = np.minimum((t_to - self.t0) // self.slab_s, self.count - 1)
-        count = np.where(t_to >= t_from, np.maximum(last - first + 1, 0), 0)
+        first = np.searchsorted(self.occupied, (t_from - self.t0) // self.slab_s)
+        stop = np.searchsorted(self.occupied, (t_to - self.t0) // self.slab_s, side="right")
+        count = np.where(t_to >= t_from, stop - first, 0)
         at = np.repeat(np.arange(count.size), count)
         slab = np.arange(at.size) + np.repeat(first - np.cumsum(count) + count, count)
         return at, slab
 
-    def runs(self, at: np.ndarray, slab: np.ndarray, west: np.ndarray, east: np.ndarray):
+    def begins(self, slab: np.ndarray) -> np.ndarray:
+        """The first second of each indexed slab."""
+        return self.occupied[slab] * self.slab_s + self.t0
+
+    def runs(self, slab: np.ndarray, west: np.ndarray, east: np.ndarray):
         """The runs of ``cols`` in slab[m] whose bins meet [west[m], east[m]],
-        as (at[m], first, stop) for each non-empty one.  Each end is moved
-        one ulp outward before it is binned, so a run holds every column of
-        the slab whose exact longitude lies in the exact interval whose
-        rounded ends are west and east."""
-        key = slab * self.bins
-        first = np.searchsorted(self.key, key + self.bin(np.nextafter(west, -np.inf)))
-        stop = np.searchsorted(self.key, key + self.bin(np.nextafter(east, np.inf)),
-                               side="right")
+        as (m, first, stop) for each non-empty one.  Each end is moved one
+        ulp outward before it is binned, so a run holds every column of the
+        slab whose exact longitude lies in the exact interval whose rounded
+        ends are west and east."""
+        cell = slab * self.bins
+        first = self.start[cell + self.bin(np.nextafter(west, -np.inf))]
+        cell += self.bin(np.nextafter(east, np.inf))
+        cell += 1
+        stop = self.start[cell]
         kept = np.flatnonzero(stop > first)
-        return at[kept], first[kept], stop[kept]
+        return kept, first[kept], stop[kept]
 
 
 def blocks(first: np.ndarray, stop: np.ndarray, size: int):

@@ -637,10 +637,13 @@ def _tube_track(west_1, west_2):
 
 
 def _tube_holds(ds, cfg, i, j, bound):
-    """Whether row i's tube at ``bound`` holds column j."""
+    """Whether row i's tube at ``bound`` holds column j: in one of its runs,
+    within that run's latitudes."""
     index = _index(ds)
-    _, first, last = cbtr._tube(index, cbtr._Workspace(ds, cfg), np.array([i]), bound)
-    return any(j in index.cols[a:b] for a, b in zip(first, last))
+    _, first, stop, south, north = cbtr._tube(index, cbtr._Workspace(ds, cfg), np.array([i]),
+                                              bound)
+    return any(j in index.cols[a:b] and s <= ds.lat[j] <= n
+               for a, b, s, n in zip(first, stop, south, north))
 
 
 @pytest.mark.parametrize("tie", [True, False], ids=["tie", "report-2-lower"])
@@ -681,6 +684,69 @@ def test_tube_boundary(west_2, above, tie, monkeypatch):
     assert _search_counts(ds, TUBE_CFG)[2][0] == (1 if score < bound else 2)
 
 
+# as TUBE_CFG, and every heading passes its gate
+BOX_CFG = replace(TUBE_CFG, cos_moving_min=-1.0)
+# a latitude scale at which sqrt(2 * bound) / alpha, unwidened, rounds to
+# a box that ends just north of report 2 in the first round below
+BOX_ALPHA = 0.7
+# an ulp of report 2's latitude offset 0.375
+BOX_STEP = 2.0**-54
+
+
+def _box_track(south_1, south_2):
+    """Report 0, at latitude 0.1875, heads due north at 0.09375 degrees a
+    second, so its dead-reckoned latitude 4 s on is 0.5625 and its longitude
+    stays.  Reports 1 and 2, 4 s on, lie docked ``south_1`` and ``south_2``
+    steps of BOX_STEP south of report 0's own position.  Docked there, a
+    report scores fl**2 / 2 exactly, its floor in the box; a step south, it
+    scores more.  Report 3, also 4 s on, lies 5 degrees north, outside every
+    box of the first two rounds, so the first round cannot cover report 0's
+    window."""
+    lat = [0.1875, 0.1875 - south_1 * BOX_STEP, 0.1875 - south_2 * BOX_STEP, 5.0]
+    return TrackDataset(t=np.array([0, 4, 4, 4]), lat=np.array(lat), lon=np.full(4, -76.0),
+                        sog=np.array([_north_sog(0.09375), 0.0, 0.0, 0.0]), cog=np.zeros(4),
+                        vids=None, alpha=BOX_ALPHA)
+
+
+@pytest.mark.parametrize("tie", [True, False], ids=["tie", "report-2-lower"])
+@pytest.mark.parametrize("south_2, above", [
+    # report 2's floor equals the bound
+    (0, 0),
+    # report 2's floor lies one ulp below the bound
+    (0, 1),
+    # report 2 lies one step of latitude outside the box's edge
+    (1, 0),
+], ids=["floor-equal", "floor-one-ulp-below", "one-step-outside"])
+def test_box_latitude_boundary(south_2, above, tie, monkeypatch):
+    """The latitude side of test_tube_boundary.  Slabs of 4 s start at
+    report 1's time, so report 0's box over that slab starts at its
+    dead-reckoned latitude 4 s on.  The bound puts the box's south edge
+    R / alpha south of there, and report 0's own latitude 0.375 south of it,
+    up to the bound's ulps ``above``.  Report 1 ties with report 2, or
+    scores more."""
+    ds = _box_track(south_2 if tie else south_2 + 1, south_2)
+    fl = (0.5625 - 0.1875) * BOX_ALPHA
+    bound = (fl * fl) * 0.5
+    for _ in range(above):
+        bound = np.nextafter(bound, 1.0)
+    score = link_of(replace(ds, **{f: getattr(ds, f)[[0, 2]]
+                                   for f in ("t", "lat", "lon", "sog", "cog")}), 0, BOX_CFG)[1]
+    assert (score == bound) == (south_2 == 0 and above == 0)
+    assert (score < bound) == (above > 0)
+    monkeypatch.setattr(cbtr, "_SLAB_S", 4)
+    monkeypatch.setattr(cbtr, "_START_BOUND", bound)
+    links = build_links(ds, BOX_CFG)
+    _assert_links_match(links, reference.link_all(reference.pts_of(ds), ds.alpha, BOX_CFG))
+    assert (links.targets[0], links.errors[0]) == ((1 if tie else 2), score)
+    assert not _tube_holds(ds, BOX_CFG, 0, 3, bound)
+    if score < bound:
+        # report 2 lies just south of sqrt(2 * bound) / alpha: only the
+        # slack of R puts it in the first round's box
+        assert 0.5625 - np.sqrt(2.0 * bound) / BOX_ALPHA > 0.1875
+        assert _tube_holds(ds, BOX_CFG, 0, 2, bound)
+    assert _search_counts(ds, BOX_CFG)[2][0] == (1 if score < bound else 2)
+
+
 def _gated_points():
     """Report 0 heads north at 10 kn.  Report 1 (5 s on) lies 0.002 degrees
     ahead of its dead-reckoned position and gives it a first link.  Report
@@ -719,7 +785,7 @@ def test_cell_counts_are_pinned():
     links = build_links(ds, CFG)
     assert np.array_equal(targets, links.targets)
     assert np.array_equal(errors[targets >= 0], links.errors[targets >= 0])
-    assert counts == (10, 1700)
+    assert counts == (10, 1162)
 
 
 @pytest.mark.parametrize("step", [1, -1], ids=["table-columns", "reversed-table-columns"])
@@ -752,3 +818,29 @@ def test_link_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def _long_span_fleet():
+    """A small fleet's 600 s, repeated nine times 1.25e8 s apart, so its
+    reports span 10**9 s: 49 of the span's 7.8M slabs of 128 s hold a
+    report."""
+    ds = _dataset(69, n_vessels=3, duration_s=600)
+    shift = np.repeat(np.arange(9) * 125_000_000, len(ds))
+    return TrackDataset.from_columns(t=np.tile(ds.t, 9) + shift, lat=np.tile(ds.lat, 9),
+                                     lon=np.tile(ds.lon, 9), sog=np.tile(ds.sog, 9),
+                                     cog=np.tile(ds.cog, 9))
+
+
+def test_long_span_fleet_links_in_small_memory():
+    # the index holds only the slabs with a report; one int32 per slab of
+    # the span would alone take 31 MB.  The rest is the block buffers
+    ds = _long_span_fleet()
+    assert ds.t[-1] - ds.t[0] >= 10**9
+    tracemalloc.start()
+    try:
+        links = build_links(ds, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    _assert_links_match(links, reference.link_all(reference.pts_of(ds), ds.alpha, CFG))

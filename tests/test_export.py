@@ -133,16 +133,41 @@ def test_geojson_in_fixed_notation_is_dumped_by_orjson(monkeypatch):
     assert export_geojson(ds, assignment) == expected
 
 
+def _dumped_by_json(monkeypatch):
+    """The cluster ids of the features that export.json.dumps is called on."""
+    dumped = []
+    dumps = export.json.dumps
+
+    def counted(obj, **kwargs):
+        dumped.append(obj["properties"]["cluster_id"])
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(export.json, "dumps", counted)
+    return dumped
+
+
 def test_geojson_in_exponent_notation_is_dumped_by_json(monkeypatch):
     below = float(np.nextafter(1e-4, 0))
     ds, assignment = _fleet([3e-05, -0.0, 0.0, 1e-4, below], [-0.0, 1e-4, below, 3e-05, 0.0],
                             _CLUSTER_OF, _ENDPOINTS)
     expected = json.dumps(_geojson_document(ds, assignment), indent=2).encode()
-    # orjson would write 3e-05 as 0.00003
-    monkeypatch.setattr(export, "orjson", None)
+    # orjson would write 3e-05 as 0.00003; clusters 1 and 2 hold no such value
+    dumped = _dumped_by_json(monkeypatch)
     text = export_geojson(ds, assignment)
     assert text == expected
     assert b"            3e-05" in text and b"9.999999999999999e-05" in text
+    assert dumped == [0, 3]
+
+
+def test_geojson_dumps_only_the_odd_feature_by_json(monkeypatch):
+    # six clusters of five reports; one latitude of cluster 4 is 3e-05
+    lat = 37.0 + np.arange(30) * 1e-3
+    lat[22] = 3e-05
+    ds, assignment = _fleet(lat, -76.0 + np.arange(30) * 1e-3, np.arange(30) // 5, {4, 22, 29})
+    expected = json.dumps(_geojson_document(ds, assignment), indent=2).encode()
+    dumped = _dumped_by_json(monkeypatch)
+    assert export_geojson(ds, assignment) == expected
+    assert dumped == [4]
 
 
 def _near_zero_or(low, high):
