@@ -270,9 +270,9 @@ def _boxed(index: SlabIndex, lat: np.ndarray, t: np.ndarray, t_rows: np.ndarray,
            window_s: int, tube):
     """The cells of a chunk's ``tube`` that lie within their run's latitudes
     and their row's window, as (position in the chunk, column), row by row,
-    in batches of at least _BLOCK_CELLS but the last.  ``lat`` and ``t`` are
-    the index's latitudes and times in its own order, so a run's are
-    adjacent; ``t_rows`` are the chunk's times."""
+    in batches of at most _BLOCK_CELLS.  ``lat`` and ``t`` are the index's
+    latitudes and times in its own order, so a run's are adjacent;
+    ``t_rows`` are the chunk's times."""
     at, first, stop, south, north = tube
     t_at = t_rows[at]
     places, cols, size = [], [], 0
@@ -280,20 +280,22 @@ def _boxed(index: SlabIndex, lat: np.ndarray, t: np.ndarray, t_rows: np.ndarray,
         y, dt = lat[pos], t[pos]
         dt -= t_at[run]
         box = np.flatnonzero((y >= south[run]) & (y <= north[run]) & (dt > 0) & (dt <= window_s))
+        if size + box.size > _BLOCK_CELLS:
+            yield np.concatenate(places), np.concatenate(cols)
+            places, cols, size = [], [], 0
         places.append(at[run[box]])
         cols.append(index.cols[pos[box]])
         size += box.size
-        if size >= _BLOCK_CELLS:
-            yield np.concatenate(places), np.concatenate(cols)
-            places, cols, size = [], [], 0
-    if places:
+    if size:
         yield np.concatenate(places), np.concatenate(cols)
 
 
-def _link_rows(ws: _Workspace, index: SlabIndex, rows: np.ndarray,
-               targets: np.ndarray, errors: np.ndarray, modes: np.ndarray) -> tuple[int, int]:
+def _link_rows(ws: _Workspace, index: SlabIndex, lat: np.ndarray, t: np.ndarray,
+               rows: np.ndarray, targets: np.ndarray, errors: np.ndarray,
+               modes: np.ndarray) -> tuple[int, int]:
     """Link the given rows; return how many rounds ran and how many cells
-    were scored.
+    were scored.  ``lat`` and ``t`` are the reports' latitudes and times in
+    the index's order.
 
     Each round gives every pending row the same bound: _START_BOUND at
     first, 4x in each later round.  It scores each row's cells in the
@@ -306,7 +308,6 @@ def _link_rows(ws: _Workspace, index: SlabIndex, rows: np.ndarray,
     as one scan of its whole window.
     """
     scratch = _Scratch()
-    lat, t = ws.lat[index.cols], ws.t[index.cols]
     window_s = ws.cfg.window_s
     bound = _START_BOUND
     rounds = scored = 0
@@ -319,14 +320,11 @@ def _link_rows(ws: _Workspace, index: SlabIndex, rows: np.ndarray,
             for a, cols in _boxed(index, lat, t, ws.t[part], window_s, tube):
                 seen += np.bincount(a, minlength=part.size)
                 scored += a.size
-                for k in range(0, a.size, _BLOCK_CELLS):
-                    found, col, err, mode = _score_block(ws, scratch, part[a[k:k + _BLOCK_CELLS]],
-                                                         cols[k:k + _BLOCK_CELLS])
-                    held = errors[found]
-                    better = (err < held) | ((err == held) & (col < targets[found]))
-                    found = found[better]
-                    targets[found], errors[found], modes[found] = (col[better], err[better],
-                                                                   mode[better])
+                found, col, err, mode = _score_block(ws, scratch, part[a], cols)
+                held = errors[found]
+                better = (err < held) | ((err == held) & (col < targets[found]))
+                found = found[better]
+                targets[found], errors[found], modes[found] = col[better], err[better], mode[better]
             undecided = np.flatnonzero(errors[part] >= bound)
             lo, hi = _window_bounds(ws.t, ws.t[part[undecided]], window_s)
             pending.append(part[undecided[seen[undecided] < hi - lo]])
@@ -354,12 +352,14 @@ def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
     targets = np.full(n, -1, dtype=np.int64)
     errors = np.full(n, np.inf, dtype=np.float64)
     modes = np.zeros(n, dtype=np.int8)
+    # every worker reads the reports' latitudes and times in index order
+    lat, t = ws.lat[index.cols], ws.t[index.cols]
     parts = np.array_split(np.arange(n), min(threads, n))
     if len(parts) == 1:
-        _link_rows(ws, index, parts[0], targets, errors, modes)
+        _link_rows(ws, index, lat, t, parts[0], targets, errors, modes)
     else:
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            futures = [pool.submit(_link_rows, ws, index, rows, targets, errors, modes)
+            futures = [pool.submit(_link_rows, ws, index, lat, t, rows, targets, errors, modes)
                        for rows in parts]
             for f in futures:
                 f.result()

@@ -16,6 +16,11 @@ from .ingest import fixed_notation
 from .model import ClusterAssignment, TrackDataset, index_mask, label_codes, label_groups
 
 
+# a string that nothing else in a document holds; orjson writes it "\u0000"
+_PLACEHOLDER = "\0"
+_PLACEHOLDER_JSON = orjson.dumps(_PLACEHOLDER)
+
+
 def export_geojson(ds: TrackDataset, assignment: ClusterAssignment) -> bytes:
     """One LineString feature per cluster, points in time order, as GeoJSON
     UTF-8 bytes.
@@ -27,7 +32,7 @@ def export_geojson(ds: TrackDataset, assignment: ClusterAssignment) -> bytes:
     without a trailing newline.  orjson writes them, except for a feature
     with a coordinate that ``repr`` writes in exponent form (or NaN or an
     infinity), which only ``json.dumps`` writes the same way: such a
-    feature is dumped by itself, and every feature is indented into place.
+    feature is dumped by itself and set into orjson's text.
     """
     if len(ds) != len(assignment):
         raise ValueError("dataset and assignment must align")
@@ -45,16 +50,20 @@ def export_geojson(ds: TrackDataset, assignment: ClusterAssignment) -> bytes:
             "properties": {"cluster_id": cid, "point_count": b - a,
                            "endpoints": ends[end_bounds[cid]:end_bounds[cid + 1]]},
         })
-    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
-    fixed = fixed_notation(points).all(axis=1)
-    if fixed.all():
-        return orjson.dumps({"type": "FeatureCollection", "features": features}, option=option)
-    odd = set(assignment.cluster_of[order[~fixed]].tolist())
-    texts = [json.dumps(feature, indent=2, default=np.ndarray.tolist).encode() if cid in odd
-             else orjson.dumps(feature, option=option) for cid, feature in enumerate(features)]
-    # each feature sits two levels deep in the document
-    body = b",\n".join(b"    " + text.replace(b"\n", b"\n    ") for text in texts)
-    return b'{\n  "type": "FeatureCollection",\n  "features": [\n' + body + b"\n  ]\n}"
+    # a feature that only json.dumps writes right goes into the dump as a
+    # placeholder, replaced by its own json.dumps text, indented two levels
+    odd = sorted(set(assignment.cluster_of[order[~fixed_notation(points).all(axis=1)]].tolist()))
+    texts = [json.dumps(features[cid], indent=2, default=np.ndarray.tolist)
+             .replace("\n", "\n    ").encode() for cid in odd]
+    for cid in odd:
+        features[cid] = _PLACEHOLDER
+    dump = orjson.dumps({"type": "FeatureCollection", "features": features},
+                        option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    if not odd:
+        return dump
+    # the k-th placeholder splits parts k and k + 1, and stands for texts[k]
+    parts = dump.split(_PLACEHOLDER_JSON)
+    return b"".join([part for pair in zip(parts, texts) for part in pair] + parts[-1:])
 
 
 def _extents(t: np.ndarray, labels: np.ndarray, n_groups: int) -> tuple[list[int], list[int]]:

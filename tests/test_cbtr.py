@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference
-from trackstitch import cbtr
+from trackstitch import cbtr, search
 from trackstitch.cbtr import (
     build_links,
     candidate_window,
@@ -166,13 +166,15 @@ EDGE_STEP = 2.0**-20
 def _edge_fleet():
     """Every report at a whole number of _SLAB_S seconds and on a longitude
     bin edge: the fleet spans exactly _LON_BINS steps of EDGE_STEP, so each
-    report's scaled offset from the westmost is a whole number."""
+    report's scaled offset from the westmost is a whole number.  Its 2
+    slabs hold 128 reports each on average, enough that the index's start
+    table gets all _LON_BINS bins."""
     rng = np.random.default_rng(68)
-    n = 120
+    n = 256
     step = rng.integers(0, cbtr._LON_BINS + 1, n)
     step[:2] = 0, cbtr._LON_BINS
     return TrackDataset.from_columns(
-        t=np.sort(rng.integers(0, 12, n)) * cbtr._SLAB_S, lat=37.0 + rng.uniform(0, 5e-4, n),
+        t=np.sort(rng.integers(0, 2, n)) * cbtr._SLAB_S, lat=37.0 + rng.uniform(0, 5e-4, n),
         lon=-76.0 + step * EDGE_STEP, sog=rng.choice([0.0, 0.5, 2.0, 8.0], n),
         cog=rng.uniform(0, 360, n))
 
@@ -180,7 +182,7 @@ def _edge_fleet():
 def _on_edges(ds):
     offset = (ds.lon - ds.lon.min()) / EDGE_STEP
     return (bool(np.all(ds.t % cbtr._SLAB_S == 0)) and np.array_equal(offset, np.round(offset))
-            and offset.max() == cbtr._LON_BINS)
+            and offset.max() == cbtr._LON_BINS and _index(ds).bins == cbtr._LON_BINS)
 
 
 def _past_reach_points():
@@ -257,6 +259,10 @@ def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
         "chunk-one-row", "chunk-all-rows"])
 def test_search_constants_are_invisible(block_fleet, name, value, threads, monkeypatch):
     monkeypatch.setattr(cbtr, name, value)
+    if name == "_LON_BINS":
+        # the start table's cap would give a small fleet fewer bins
+        monkeypatch.setattr(search, "_TABLE_PER_REPORT", value)
+        assert _index(block_fleet[0]).bins == value
     _assert_invisible(*block_fleet, threads)
 
 
@@ -547,7 +553,9 @@ def _search_counts(ds, cfg):
     targets = np.full(len(ds), -1)
     errors = np.full(len(ds), np.inf)
     modes = np.zeros(len(ds), dtype=np.int8)
-    counts = cbtr._link_rows(ws, _index(ds), np.arange(len(ds)), targets, errors, modes)
+    index = _index(ds)
+    counts = cbtr._link_rows(ws, index, ds.lat[index.cols], ds.t[index.cols], np.arange(len(ds)),
+                             targets, errors, modes)
     return targets, errors, counts
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from trackstitch import npc
+from trackstitch import npc, search
 from trackstitch.model import AisPoint, TrackDataset
 from trackstitch.npc import (
     NpcConfig,
@@ -383,18 +383,27 @@ SEARCH_EXTREMES = {
 }
 
 
+def _set_extreme(monkeypatch, extreme, ds):
+    name, value = SEARCH_EXTREMES[extreme]
+    monkeypatch.setattr(npc, name, value)
+    if name == "_LON_BINS":
+        # the start table's cap would give a small fleet fewer bins
+        monkeypatch.setattr(search, "_TABLE_PER_REPORT", value)
+        assert search.SlabIndex(ds.t, ds.lon, npc._SLAB_S, value).bins == value
+
+
 @pytest.mark.parametrize("extreme", sorted(SEARCH_EXTREMES))
 def test_search_constants_are_invisible(block_fleet, extreme, monkeypatch):
     ds, default = block_fleet
-    monkeypatch.setattr(npc, *SEARCH_EXTREMES[extreme])
+    _set_extreme(monkeypatch, extreme, ds)
     assert np.array_equal(npc_grouping_targets(ds), default)
 
 
 @pytest.mark.parametrize("extreme", sorted(SEARCH_EXTREMES))
 @pytest.mark.parametrize("k", [1, 3])
 def test_search_constants_are_invisible_on_exact_ties(extreme, k, monkeypatch):
-    monkeypatch.setattr(npc, *SEARCH_EXTREMES[extreme])
     ds = _exact_ties(0)
+    _set_extreme(monkeypatch, extreme, ds)
     cfg = NpcConfig(k_neighbors=k, time_weight=2.0 ** -6, lat_weight=1.0)
     assert list(npc_grouping_targets(ds, cfg)) == _bruteforce_targets(ds, cfg)
 
