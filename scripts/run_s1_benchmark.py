@@ -2,7 +2,7 @@
 side-by-side quality summary, then time npc classification on each vessel's
 alternating reports.
 
-Usage: python3 scripts/run_s1_benchmark.py [--seed N] [--threads N]
+Usage: python3 scripts/run_s1_benchmark.py [--seed N]
 """
 
 import argparse
@@ -18,7 +18,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=None,
                         help="fleet seed (default: the pinned benchmark seed)")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     cfg = scenario_s1(args.seed) if args.seed is not None else scenario_s1()
@@ -27,7 +26,7 @@ def main() -> None:
           f"seed {cfg.seed}")
 
     start = time.perf_counter()
-    result = run_cbtr(ds, threads=args.threads)
+    result = run_cbtr(ds)
     cbtr_s = time.perf_counter() - start
     report = build_report(result.assignment,
                           surviving_targets(result.links, result.report),

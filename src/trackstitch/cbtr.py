@@ -8,7 +8,6 @@ track ends, then read the clusters off the surviving link graph.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,14 +54,21 @@ _START_BOUND = 2.5e-7
 
 
 class _Workspace:
-    """Per-report arrays shared by every worker."""
+    """Per-report arrays of one build_links call, and the cell buffers that
+    _score_block reuses for every block.
 
-    __slots__ = ("cfg", "t", "tf", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt")
+    The kernel's arithmetic then allocates nothing block-sized, so the pages
+    of its temporaries are faulted in once per call instead of once per
+    block (they took 35-40% of the kernel's time), and a call holds one
+    block's worth of memory.
+    """
+
+    __slots__ = ("cfg", "t", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt",
+                 "floats", "flags")
 
     def __init__(self, ds: TrackDataset, cfg: CbtrConfig):
         self.cfg = cfg
         self.t = ds.t
-        self.tf = ds.t.astype(np.float64)
         self.lat, self.lon, self.sog = ds.lat, ds.lon, ds.sog
         self.vn, self.ve = velocity(self.lat, self.sog, ds.cog)
         self.alpha = ds.alpha
@@ -70,15 +76,19 @@ class _Workspace:
         self.slow = self.sog <= cfg.moving_speed_sum
         # the kernel's moving time term of dt = 1, 2, ... up to the widest
         # gap a window can hold, computed with the kernel's own operations
-        span = min(cfg.window_s, int(self.tf[-1] - self.tf[0]))
+        span = min(cfg.window_s, int(ds.t[-1] - ds.t[0]))
         self.tt = np.multiply(cfg.time_weight_moving, np.arange(1.0, span + 1))
         self.tt *= self.tt
+        self.floats = np.empty((19, _BLOCK_CELLS))
+        self.flags = np.empty((3, _BLOCK_CELLS), dtype=bool)
 
 
 def _window_bounds(t: np.ndarray, at, window_s: int):
-    """[lo, hi) of the reports 1..window_s seconds after time(s) ``at``."""
-    return (np.searchsorted(t, at + 1, side="left"),
-            np.searchsorted(t, at + window_s, side="right"))
+    """[lo, hi) of the reports 1..window_s seconds after time(s) ``at``,
+    which are times in ``t``.  The window's end is clipped to the last time,
+    so it stays an int64 however late ``at`` is."""
+    return (np.searchsorted(t, at, side="right"),
+            np.searchsorted(t, at + np.minimum(window_s, t[-1] - at), side="right"))
 
 
 def candidate_window(ds: TrackDataset, i: int, cfg: CbtrConfig | None = None) -> np.ndarray:
@@ -90,23 +100,7 @@ def candidate_window(ds: TrackDataset, i: int, cfg: CbtrConfig | None = None) ->
     return np.arange(lo, hi, dtype=np.int64)
 
 
-class _Scratch:
-    """Cell buffers that one worker reuses for every block.
-
-    The kernel's arithmetic then allocates nothing block-sized, so the
-    pages of its temporaries are faulted in once per worker instead of once
-    per block, and each worker holds one block's worth of memory.
-    """
-
-    def __init__(self):
-        self.floats = np.empty((19, _BLOCK_CELLS))
-        self.flags = np.empty((3, _BLOCK_CELLS), dtype=bool)
-
-    def views(self, cells: int):
-        return list(self.floats[:, :cells]), list(self.flags[:, :cells])
-
-
-def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.ndarray):
+def _score_block(ws: _Workspace, rows: np.ndarray, cols: np.ndarray):
     """Best next report of each row among its cells (rows[k], cols[k]).
 
     Every cell lies inside its row's window, no cell repeats, and the cells
@@ -119,15 +113,19 @@ def _score_block(ws: _Workspace, scratch: _Scratch, rows: np.ndarray, cols: np.n
     cfg = ws.cfg
     alpha = ws.alpha
     # each result goes into a buffer whose previous content is no longer read
-    f, (moving, keep, low) = scratch.views(len(rows))
+    cells = len(rows)
+    f = list(ws.floats[:, :cells])
+    moving, keep, low = ws.flags[:, :cells]
 
     def take(values, at, k):
         return np.take(values, at, out=f[k], mode="clip")
 
     lat_i, lon_i = take(ws.lat, rows, 0), take(ws.lon, rows, 1)
     lat_j, lon_j = take(ws.lat, cols, 2), take(ws.lon, cols, 3)
-    dt = take(ws.tf, cols, 4)
-    dt -= take(ws.tf, rows, 5)
+    # the time gap is an exact integer before it becomes a float
+    t_j = np.take(ws.t, cols, out=f[4].view(np.int64), mode="clip")
+    t_i = np.take(ws.t, rows, out=f[5].view(np.int64), mode="clip")
+    dt = np.subtract(t_j, t_i, out=f[4])
     speed_sum = take(ws.sog, rows, 5)
     speed_sum += take(ws.sog, cols, 6)
     np.greater(speed_sum, cfg.moving_speed_sum, out=moving)
@@ -237,15 +235,19 @@ def _tube(index: SlabIndex, ws: _Workspace, rows: np.ndarray, bound: float):
     radius = np.sqrt(2.0 * bound) * (1 + 2.0**-40)
     rise = radius / abs(ws.alpha)
     t = ws.t[rows]
-    # a slow row may pair as steady anywhere in its window
-    at, slab = index.slabs(t + 1, t + np.where(ws.slow[rows], ws.cfg.window_s, reach))
-    # the moving cells of each slab lie within its clipped span of dt; the
-    # kernel's dead reckoning is monotone in dt, so the span's ends bound it
-    start = index.begins(slab)
+    # every time searched is t + min(dt, room), no later than the last
+    # report, so no sum overflows int64; a slow row may pair as steady
+    # anywhere in its window
+    room = ws.t[-1] - t
+    at, slab = index.slabs(t + np.minimum(1, room),
+                           t + np.minimum(np.where(ws.slow[rows], ws.cfg.window_s, reach), room))
+    # the moving cells of each slab lie within its span of dt, clipped to
+    # 1..reach; the kernel's dead reckoning is monotone in dt, so the
+    # span's ends bound it
+    begin = index.begins(slab) - t[at]
     row = rows[at]
-    tf = ws.tf[row]
-    ta = np.maximum(start, t[at] + 1) - tf
-    tb = np.minimum(start + (index.slab_s - 1), t[at] + reach) - tf
+    ta = np.maximum(begin, 1)
+    tb = np.minimum(begin + (index.slab_s - 1), reach)
     # past reach a slow row's slab holds only its steady cells
     slow = np.flatnonzero(ws.slow[row])
     moving = ta[slow] <= tb[slow]
@@ -290,12 +292,10 @@ def _boxed(index: SlabIndex, lat: np.ndarray, t: np.ndarray, t_rows: np.ndarray,
         yield np.concatenate(places), np.concatenate(cols)
 
 
-def _link_rows(ws: _Workspace, index: SlabIndex, lat: np.ndarray, t: np.ndarray,
-               rows: np.ndarray, targets: np.ndarray, errors: np.ndarray,
-               modes: np.ndarray) -> tuple[int, int]:
-    """Link the given rows; return how many rounds ran and how many cells
-    were scored.  ``lat`` and ``t`` are the reports' latitudes and times in
-    the index's order.
+def _link_rows(ws: _Workspace, index: SlabIndex):
+    """Link every report over ``index``, an index of all reports: return
+    each one's target (-1: none), error (inf: none) and mode (0: none), and
+    (how many rounds ran, how many cells were scored).
 
     Each round gives every pending row the same bound: _START_BOUND at
     first, 4x in each later round.  It scores each row's cells in the
@@ -307,7 +307,13 @@ def _link_rows(ws: _Workspace, index: SlabIndex, lat: np.ndarray, t: np.ndarray,
     is lower, or equal at a lower column, so each row gets the same link
     as one scan of its whole window.
     """
-    scratch = _Scratch()
+    n = ws.t.size
+    targets = np.full(n, -1, dtype=np.int64)
+    errors = np.full(n, np.inf)
+    modes = np.zeros(n, dtype=np.int8)
+    # the reports' latitudes and times in the index's order
+    lat, t = ws.lat[index.cols], ws.t[index.cols]
+    rows = np.arange(n)
     window_s = ws.cfg.window_s
     bound = _START_BOUND
     rounds = scored = 0
@@ -320,7 +326,7 @@ def _link_rows(ws: _Workspace, index: SlabIndex, lat: np.ndarray, t: np.ndarray,
             for a, cols in _boxed(index, lat, t, ws.t[part], window_s, tube):
                 seen += np.bincount(a, minlength=part.size)
                 scored += a.size
-                found, col, err, mode = _score_block(ws, scratch, part[a], cols)
+                found, col, err, mode = _score_block(ws, part[a], cols)
                 held = errors[found]
                 better = (err < held) | ((err == held) & (col < targets[found]))
                 found = found[better]
@@ -331,38 +337,16 @@ def _link_rows(ws: _Workspace, index: SlabIndex, lat: np.ndarray, t: np.ndarray,
         rounds += 1
         rows = np.concatenate(pending)
         bound *= 4
-    return rounds, scored
+    return targets, errors, modes, (rounds, scored)
 
 
-def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None,
-                threads: int = 1) -> LinkSet:
-    """Run link selection for every report over one index of all reports.
-
-    Workers take contiguous runs of rows; the result is identical for any
-    worker count.
-    """
+def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None) -> LinkSet:
+    """Run link selection for every report over one index of all reports."""
     cfg = cfg or CbtrConfig()
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    ws = _Workspace(ds, cfg)
-    index = SlabIndex(ds.t, ds.lon, _SLAB_S, _LON_BINS)
-    n = len(ds)
-    targets = np.full(n, -1, dtype=np.int64)
-    errors = np.full(n, np.inf, dtype=np.float64)
-    modes = np.zeros(n, dtype=np.int8)
-    # every worker reads the reports' latitudes and times in index order
-    lat, t = ws.lat[index.cols], ws.t[index.cols]
-    parts = np.array_split(np.arange(n), min(threads, n))
-    if len(parts) == 1:
-        _link_rows(ws, index, lat, t, parts[0], targets, errors, modes)
-    else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            futures = [pool.submit(_link_rows, ws, index, lat, t, rows, targets, errors, modes)
-                       for rows in parts]
-            for f in futures:
-                f.result()
+    targets, errors, modes, _ = _link_rows(_Workspace(ds, cfg),
+                                           SlabIndex(ds.t, ds.lon, _SLAB_S, _LON_BINS))
     errors[targets < 0] = np.nan
     return LinkSet(targets=targets, errors=errors, modes=modes)
 
@@ -380,7 +364,7 @@ def detect_abnormal(ds: TrackDataset, links: LinkSet,
     targets = links.targets
     no_bpnp = frozenset(np.nonzero(targets < 0)[0].tolist())
     linked = np.flatnonzero(targets >= 0)
-    dt = ds.t[targets[linked]].astype(np.float64) - ds.t[linked]
+    dt = (ds.t[targets[linked]] - ds.t[linked]).astype(np.float64)
     normalized = links.errors[linked] / (dt * dt)
     worst = linked[np.argsort(-normalized, kind="stable")[:cfg.n_abnormal]]
     z2 = targets[worst]
@@ -442,11 +426,10 @@ def components_of(targets: np.ndarray) -> np.ndarray:
     return (np.cumsum(first) - 1)[earliest[root]]
 
 
-def run_cbtr(ds: TrackDataset, cfg: CbtrConfig | None = None,
-             threads: int = 1) -> CbtrResult:
+def run_cbtr(ds: TrackDataset, cfg: CbtrConfig | None = None) -> CbtrResult:
     """Full reconstruction: links, end-of-track screening, clusters."""
     cfg = cfg or CbtrConfig()
-    links = build_links(ds, cfg, threads=threads)
+    links = build_links(ds, cfg)
     report = detect_abnormal(ds, links, cfg)
     assignment = assemble_clusters(links, report)
     return CbtrResult(assignment, links, report)

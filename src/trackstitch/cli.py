@@ -38,8 +38,8 @@ def _manifest_text(command: str, config: dict, input_sha256: str,
                    report: EvalReport | None) -> str:
     """What produced a set of output files.
 
-    Execution details that do not affect the outputs (worker count, wall
-    time) are deliberately left out, so re-running a manifest's command on
+    Execution details that do not affect the outputs (wall time) are
+    deliberately left out, so re-running a manifest's command on
     its input reproduces the files byte for byte.
     """
     lines = [f"command = {command}"]
@@ -139,14 +139,16 @@ def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
 def _first_assignment_error(path: str, lines: list[str], fallback: Exception) -> IngestError:
     """The first line of an assignment.csv breaking the row format, scanned
     only when the column pass fails: field count, then int(), then int64."""
+    width = len(_ASSIGNMENT_ROW)
+    ints = [k for k in range(width) if _ASSIGNMENT_ROW[k].kind == "i"]
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 7:
-            return IngestError(f"{path} line {line_no}: expected 7 fields")
+        if len(parts) != width:
+            return IngestError(f"{path} line {line_no}: expected {width} fields")
         try:
-            values = [int(parts[i]) for i in (0, 1, 4, 5, 6)]
+            values = [int(parts[k]) for k in ints]
         except ValueError as exc:
             return IngestError(f"{path} line {line_no}: {exc}")
         if not all(-2**63 <= value < 2**63 for value in values):
@@ -163,7 +165,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     if args.algo == "cbtr":
-        result = run_cbtr(ds, cfg, threads=args.threads)
+        result = run_cbtr(ds, cfg)
         assignment = result.assignment
         targets = surviving_targets(result.links, result.report)
     else:
@@ -286,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("input", help="CSV of reports, vid column optional")
     p_cluster.add_argument("--algo", choices=("cbtr", "npc"), default="cbtr")
     p_cluster.add_argument("--out", required=True, help="output directory")
-    p_cluster.add_argument("--threads", type=int, default=1)
+    # accepted and ignored: the benchmark harness still passes it on every call
+    p_cluster.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_cluster.add_argument("--print-config", action="store_true",
                            help="dump the effective configuration before running")
     _add_cbtr_flags(p_cluster)

@@ -152,6 +152,10 @@ class TrackDataset:
             i = int(late[0]) + 1
             raise ValueError(f"report {i}: t={self.t[i]} is before the previous "
                              f"report's t={self.t[i - 1]}; times must be sorted")
+        # link selection and npc take differences of any two times
+        if self.t.size and int(self.t[-1]) - int(self.t[0]) >= 2**63:
+            raise ValueError(f"times span {int(self.t[-1]) - int(self.t[0])} s; "
+                             "the difference of any two must fit an int64")
         bad = first_bad_report(self.lat, self.lon, self.sog, self.cog)
         if bad is not None:
             raise ValueError(f"report {bad[0]}: {bad[1]}")

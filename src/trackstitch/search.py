@@ -84,13 +84,16 @@ class SlabIndex:
 
     def runs(self, slab: np.ndarray, west: np.ndarray, east: np.ndarray):
         """The runs of ``cols`` in slab[m] whose bins meet [west[m], east[m]],
-        as (m, first, stop) for each non-empty one.  Each end is moved one
-        ulp outward before it is binned, so a run holds every column of the
-        slab whose exact longitude lies in the exact interval whose rounded
-        ends are west and east."""
+        as (m, first, stop) for each non-empty one.
+
+        Where west and east are the rounded ends of an exact interval
+        [W, E], a run holds every column of the slab whose longitude lies
+        in [W, E].  Rounding is monotone, so a double in [W, E] lies in
+        [fl(W), fl(E)] as well, and bin() is non-decreasing, so its bin
+        lies between the ends' bins: no end needs widening."""
         cell = slab * self.bins
-        first = self.start[cell + self.bin(np.nextafter(west, -np.inf))]
-        cell += self.bin(np.nextafter(east, np.inf))
+        first = self.start[cell + self.bin(west)]
+        cell += self.bin(east)
         cell += 1
         stop = self.start[cell]
         kept = np.flatnonzero(stop > first)

@@ -16,8 +16,6 @@ import pytest
 
 import reference
 from trackstitch.cbtr import build_links, run_cbtr
-from trackstitch.cli import main
-from trackstitch.ingest import write_ais_csv
 from trackstitch.metrics import correct_neighbor_rate, estimate_vessel_count, jumps_merges
 from trackstitch.model import CbtrConfig
 from trackstitch.npc import npc_classify, npc_cluster, npc_grouping_targets
@@ -300,19 +298,3 @@ def test_09_vessel_count_identity(s1, s1_cbtr, down_runs, gaps_runs,
             bad.append(name)
     _verdict(9, "vessel count identity", not bad,
              f"{len(cases)} labeled fixtures, mismatches: {bad or 'none'}")
-
-
-def test_10_thread_count_invisible_in_outputs(s1, tmp_path):
-    src = tmp_path / "s1.csv"
-    write_ais_csv(s1, str(src))
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}"
-        assert main(["cluster", str(src), "--out", str(out),
-                     "--threads", threads]) == 0
-        outs.append(out)
-    names = ("assignment.csv", "tracks.geojson", "timeline.svg", "manifest.txt")
-    same = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
-               for n in names)
-    _verdict(10, "thread count invisible in outputs", same,
-             f"{len(names)} files compared")

@@ -233,22 +233,20 @@ def block_fleet(request):
     return ds, links, reference.link_all(reference.pts_of(ds), ds.alpha, CFG)
 
 
-def _assert_invisible(ds, default, expected, threads):
-    links = build_links(ds, CFG, threads=threads)
+def _assert_invisible(ds, default, expected):
+    links = build_links(ds, CFG)
     assert np.array_equal(links.targets, default.targets)
     assert np.array_equal(links.modes, default.modes)
     assert np.array_equal(links.errors, default.errors, equal_nan=True)
     _assert_links_match(links, expected)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("cells", [1, 7, 97])
-def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
+def test_block_size_is_invisible(block_fleet, cells, monkeypatch):
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
-    _assert_invisible(*block_fleet, threads)
+    _assert_invisible(*block_fleet)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("name, value", [
     ("_SLAB_S", 1), ("_SLAB_S", CFG.window_s + 1),
     ("_LON_BINS", 1), ("_LON_BINS", 4096),
@@ -257,13 +255,13 @@ def test_block_size_is_invisible(block_fleet, cells, threads, monkeypatch):
     ("_CHUNK_ROWS", 1), ("_CHUNK_ROWS", 10**9),
 ], ids=["slab-1s", "slab-past-window", "bins-1", "bins-4096", "start-1e-30", "start-1",
         "chunk-one-row", "chunk-all-rows"])
-def test_search_constants_are_invisible(block_fleet, name, value, threads, monkeypatch):
+def test_search_constants_are_invisible(block_fleet, name, value, monkeypatch):
     monkeypatch.setattr(cbtr, name, value)
     if name == "_LON_BINS":
         # the start table's cap would give a small fleet fewer bins
         monkeypatch.setattr(search, "_TABLE_PER_REPORT", value)
         assert _index(block_fleet[0]).bins == value
-    _assert_invisible(*block_fleet, threads)
+    _assert_invisible(*block_fleet)
 
 
 # with a dyadic time weight and alpha 1, every step of the scores below is exact
@@ -442,18 +440,13 @@ def test_worst_n_budget_respected():
         assert list(report.worst_n) == expected
 
 
-def test_build_links_thread_count_is_invisible(s1):
-    one = build_links(s1, CFG, threads=1)
-    four = build_links(s1, CFG, threads=4)
-    assert np.array_equal(one.targets, four.targets)
-    assert np.array_equal(one.modes, four.modes)
-    assert np.array_equal(one.errors, four.errors, equal_nan=True)
-
-
-def test_build_links_rejects_bad_args():
-    ds = TrackDataset.from_points([AisPoint(0, 37.0, -76.0, 1.0, 0.0)])
-    with pytest.raises(ValueError):
-        build_links(ds, CFG, threads=0)
+def test_build_links_rejects_an_empty_dataset():
+    # from_columns cannot build one, as an empty fleet has no latitude scale
+    empty = np.zeros(0)
+    ds = TrackDataset(t=np.zeros(0, dtype=np.int64), lat=empty, lon=empty, sog=empty, cog=empty,
+                      vids=None, alpha=1.0)
+    with pytest.raises(ValueError, match="empty dataset"):
+        build_links(ds, CFG)
 
 
 def test_union_find_components_match_search():
@@ -547,15 +540,9 @@ def _index(ds):
 
 
 def _search_counts(ds, cfg):
-    """build_links for one worker, with the (rounds, cells scored) that
-    _link_rows reports."""
-    ws = cbtr._Workspace(ds, cfg)
-    targets = np.full(len(ds), -1)
-    errors = np.full(len(ds), np.inf)
-    modes = np.zeros(len(ds), dtype=np.int8)
-    index = _index(ds)
-    counts = cbtr._link_rows(ws, index, ds.lat[index.cols], ds.t[index.cols], np.arange(len(ds)),
-                             targets, errors, modes)
+    """The targets and errors of build_links, with the (rounds, cells
+    scored) that _link_rows reports."""
+    targets, errors, _, counts = cbtr._link_rows(cbtr._Workspace(ds, cfg), _index(ds))
     return targets, errors, counts
 
 
@@ -590,7 +577,6 @@ def _steady_floor_track(east):
                         cog=np.zeros(3), vids=None, alpha=1.0)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("cells", [1, 7, 16384])
 @pytest.mark.parametrize("make, best, floor, mode", [
     # report 1 holds a best one ulp above cell (0, 2)'s bound
@@ -601,7 +587,7 @@ def _steady_floor_track(east):
     (lambda: _steady_floor_track(0.0), DELTA**2, DELTA**2, 2),
 ], ids=["moving-bound-one-ulp-below", "moving-bound-equal",
         "steady-bound-one-ulp-below", "steady-bound-equal"])
-def test_offset_bound_boundary(make, best, floor, mode, cells, threads, monkeypatch):
+def test_offset_bound_boundary(make, best, floor, mode, cells, monkeypatch):
     ds = make()
 
     def alone(k):
@@ -614,7 +600,7 @@ def test_offset_bound_boundary(make, best, floor, mode, cells, threads, monkeypa
     winner = 2 if floor < best else 1
     assert link_of(ds, 0, FLOOR_CFG)[0] == winner
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
-    links = build_links(ds, FLOOR_CFG, threads=threads)
+    links = build_links(ds, FLOOR_CFG)
     assert (links.targets[0], links.errors[0], links.modes[0]) == (winner, min(floor, best), mode)
     # every score here is far below the first round's bound, so one round
     # links every row, scoring each of the three window cells once
@@ -768,9 +754,8 @@ def _gated_points():
             AisPoint(20, ahead[1][0] + 0.001, ahead[1][1], 10.0, 0.0)]
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("cells", [1, 7, 16384])
-def test_lowest_offset_cell_failing_its_gate_does_not_link(cells, threads, monkeypatch):
+def test_lowest_offset_cell_failing_its_gate_does_not_link(cells, monkeypatch):
     ds = TrackDataset.from_points(_gated_points())
     pts = reference.pts_of(ds)
     offsets = [abs(complex(*reference.advance(37.0, -76.0, 10.0, 0.0, int(ds.t[k])))
@@ -779,7 +764,7 @@ def test_lowest_offset_cell_failing_its_gate_does_not_link(cells, threads, monke
     assert reference.pair_score(pts[0], pts[1], ds.alpha, CFG) is not None
     assert reference.pair_score(pts[0], pts[2], ds.alpha, CFG) is None
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
-    links = build_links(ds, CFG, threads=threads)
+    links = build_links(ds, CFG)
     expected = reference.link_all(pts, ds.alpha, CFG)
     assert expected[0][0] == 3
     _assert_links_match(links, expected)
@@ -796,6 +781,48 @@ def test_cell_counts_are_pinned():
     assert counts == (10, 1162)
 
 
+@pytest.mark.parametrize("gap", [598, 599], ids=["last-2**63-2", "last-int64-max"])
+def test_reports_near_the_end_of_int64_time_link_as_their_shifted_copy(gap):
+    # report 1 lies 2**63 - 600 s after report 0, and report 2 ``gap`` s
+    # after report 1, so no window end that adds window_s to a time fits
+    def fleet(t1):
+        return TrackDataset.from_columns(t=[0, t1, t1 + gap], lat=[30, 37, 37],
+                                         lon=[-70, -76, -76], sog=[0, 0, 0], cog=[0, 0, 0])
+
+    late, shifted = fleet(2**63 - 600), fleet(1_000_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        links = build_links(late, CFG)
+        windows = [candidate_window(late, i, CFG).tolist() for i in range(3)]
+        clusters = run_cbtr(late, replace(CFG, n_abnormal=0)).assignment.cluster_of
+    expected = build_links(shifted, CFG)
+    assert links.targets.tolist() == [-1, 2, -1]
+    assert np.array_equal(links.targets, expected.targets)
+    assert np.array_equal(links.modes, expected.modes)
+    assert np.array_equal(links.errors, expected.errors, equal_nan=True)
+    assert windows == [candidate_window(shifted, i, CFG).tolist() for i in range(3)]
+    assert windows == [[], [2], []]
+    assert clusters.tolist() == [0, 1, 1]
+
+
+@pytest.mark.parametrize("lon, inward", [
+    (-75.5, -np.inf),
+    (np.nextafter(-75.5, -np.inf), np.inf),
+], ids=["east-end-on-bin-edge", "west-end-below-bin-edge"])
+def test_index_runs_hold_a_column_at_either_rounded_end(lon, inward):
+    """Columns at -76 and -75 cut the longitudes into 4 bins of exactly a
+    quarter degree, so -75.5 is bin 2's lower edge and the double below it
+    lies in bin 1.  An interval whose ends are both the middle column's
+    longitude holds that column; moved one ulp inward, the end that
+    ``inward`` points to would bin it out of the run."""
+    index = SlabIndex(np.zeros(3, dtype=np.int64), np.array([-76.0, lon, -75.0]), 128, 4)
+    assert index.bins == 4
+    assert index.bin(np.array([np.nextafter(lon, inward)])) != index.bin(np.array([lon]))
+    kept, first, stop = index.runs(np.array([0]), np.array([lon]), np.array([lon]))
+    assert kept.tolist() == [0]
+    assert index.cols[first[0]:stop[0]].tolist() == [1]
+
+
 @pytest.mark.parametrize("step", [1, -1], ids=["table-columns", "reversed-table-columns"])
 def test_strided_columns_give_the_same_links(step):
     # columns sliced from one (n, 4) table are views with a row stride, and
@@ -806,11 +833,10 @@ def test_strided_columns_give_the_same_links(step):
     strided = replace(ds, lat=table[:, 0], lon=table[:, 1], sog=table[:, 2], cog=table[:, 3])
     assert strided.lat.strides == (step * 4 * ds.lat.itemsize,)
     expected = build_links(ds, CFG)
-    for threads in (1, 2):
-        links = build_links(strided, CFG, threads=threads)
-        assert np.array_equal(links.targets, expected.targets)
-        assert np.array_equal(links.modes, expected.modes)
-        assert np.array_equal(links.errors, expected.errors, equal_nan=True)
+    links = build_links(strided, CFG)
+    assert np.array_equal(links.targets, expected.targets)
+    assert np.array_equal(links.modes, expected.modes)
+    assert np.array_equal(links.errors, expected.errors, equal_nan=True)
 
 
 def test_link_memory_is_bounded():

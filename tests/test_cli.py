@@ -178,7 +178,7 @@ def test_cluster_rerun_is_byte_identical(fleet_csv, tmp_path):
 def test_manifest_replays_byte_identical(fleet_csv, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["cluster", str(fleet_csv), "--out", str(a), "--window-s", "300",
-                 "--n-abnormal", "20", "--threads", "2"]) == 0
+                 "--n-abnormal", "20"]) == 0
     lines = (a / "manifest.txt").read_text().splitlines()
     # the manifest's command and config lines, each config.key as its --key flag
     argv = lines[0].removeprefix("command = ").split()
@@ -378,6 +378,19 @@ def test_cluster_tiny_track_reports_undefined_rate(tmp_path, capsys):
     assert "n_clusters_predicted = 5\n" in manifest
     assert main(["eval", str(outdir / "assignment.csv"), str(tiny), "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("undefined,4,0,5,1,1,")
+
+
+def test_cluster_links_reports_near_the_end_of_int64_time(tmp_path):
+    # rebased to the earliest, the last two reports lie near 2**63 s, 598 s
+    # apart, and still link into one cluster
+    path = tmp_path / "late.csv"
+    path.write_text("timestamp,lat,lon,sog,cog\n"
+                    "-4611686018427387903,30,-70,0,0\n"
+                    "4611686018427387305,37,-76,0,0\n"
+                    "4611686018427387903,37,-76,0,0\n")
+    assert main(["cluster", str(path), "--out", str(tmp_path / "run"), "--n-abnormal", "0"]) == 0
+    rows = list(csv.DictReader((tmp_path / "run" / "assignment.csv").open()))
+    assert [row["cluster"] for row in rows] == ["0", "1", "1"]
 
 
 def test_downsample_flow(fleet_csv, tmp_path, capsys):

@@ -141,6 +141,14 @@ def test_dataset_rejects_times_out_of_order():
         TrackDataset(t=np.array([0, 100, 50, 150]), **_columns(4), vids=None, alpha=1.0)
 
 
+def test_dataset_rejects_times_whose_span_overflows_int64():
+    # the widest span the CSV reader's ±2**62 limit allows still passes
+    widest = [-2**62 + 1, 2**62 - 1]
+    assert len(TrackDataset(t=np.array(widest), **_columns(2), vids=None, alpha=1.0)) == 2
+    with pytest.raises(ValueError, match="times span 18446744073709551615 s"):
+        TrackDataset(t=np.array([-2**63, 0, 2**63 - 1]), **_columns(), vids=None, alpha=1.0)
+
+
 def test_dataset_rejects_vids_of_another_length():
     with pytest.raises(ValueError, match="1 vids values for 3 report times"):
         TrackDataset(t=np.arange(3), **_columns(), vids=("a",), alpha=1.0)
