@@ -233,7 +233,14 @@ def block_fleet(request):
     return ds, links, reference.link_all(reference.pts_of(ds), ds.alpha, CFG)
 
 
-def _assert_invisible(ds, default, expected):
+def _search_in_parts(monkeypatch, n, parts):
+    """Search ``n`` rows in at least ``parts`` chunks a round; 1 leaves a
+    fleet of at most _CHUNK_ROWS reports in one chunk."""
+    monkeypatch.setattr(cbtr, "_CHUNK_ROWS", min(cbtr._CHUNK_ROWS, -(-n // parts)))
+
+
+def _assert_invisible(ds, default, expected, parts, monkeypatch):
+    _search_in_parts(monkeypatch, len(ds), parts)
     links = build_links(ds, CFG)
     assert np.array_equal(links.targets, default.targets)
     assert np.array_equal(links.modes, default.modes)
@@ -241,12 +248,14 @@ def _assert_invisible(ds, default, expected):
     _assert_links_match(links, expected)
 
 
+@pytest.mark.parametrize("parts", [1, 4])
 @pytest.mark.parametrize("cells", [1, 7, 97])
-def test_block_size_is_invisible(block_fleet, cells, monkeypatch):
+def test_block_size_is_invisible(block_fleet, cells, parts, monkeypatch):
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
-    _assert_invisible(*block_fleet)
+    _assert_invisible(*block_fleet, parts, monkeypatch)
 
 
+@pytest.mark.parametrize("parts", [1, 4])
 @pytest.mark.parametrize("name, value", [
     ("_SLAB_S", 1), ("_SLAB_S", CFG.window_s + 1),
     ("_LON_BINS", 1), ("_LON_BINS", 4096),
@@ -255,13 +264,13 @@ def test_block_size_is_invisible(block_fleet, cells, monkeypatch):
     ("_CHUNK_ROWS", 1), ("_CHUNK_ROWS", 10**9),
 ], ids=["slab-1s", "slab-past-window", "bins-1", "bins-4096", "start-1e-30", "start-1",
         "chunk-one-row", "chunk-all-rows"])
-def test_search_constants_are_invisible(block_fleet, name, value, monkeypatch):
+def test_search_constants_are_invisible(block_fleet, name, value, parts, monkeypatch):
     monkeypatch.setattr(cbtr, name, value)
     if name == "_LON_BINS":
         # the start table's cap would give a small fleet fewer bins
         monkeypatch.setattr(search, "_TABLE_PER_REPORT", value)
         assert _index(block_fleet[0]).bins == value
-    _assert_invisible(*block_fleet)
+    _assert_invisible(*block_fleet, parts, monkeypatch)
 
 
 # with a dyadic time weight and alpha 1, every step of the scores below is exact
@@ -440,7 +449,7 @@ def test_worst_n_budget_respected():
         assert list(report.worst_n) == expected
 
 
-def test_build_links_rejects_an_empty_dataset():
+def test_build_links_rejects_bad_args():
     # from_columns cannot build one, as an empty fleet has no latitude scale
     empty = np.zeros(0)
     ds = TrackDataset(t=np.zeros(0, dtype=np.int64), lat=empty, lon=empty, sog=empty, cog=empty,
@@ -577,6 +586,7 @@ def _steady_floor_track(east):
                         cog=np.zeros(3), vids=None, alpha=1.0)
 
 
+@pytest.mark.parametrize("parts", [1, 4])
 @pytest.mark.parametrize("cells", [1, 7, 16384])
 @pytest.mark.parametrize("make, best, floor, mode", [
     # report 1 holds a best one ulp above cell (0, 2)'s bound
@@ -587,7 +597,7 @@ def _steady_floor_track(east):
     (lambda: _steady_floor_track(0.0), DELTA**2, DELTA**2, 2),
 ], ids=["moving-bound-one-ulp-below", "moving-bound-equal",
         "steady-bound-one-ulp-below", "steady-bound-equal"])
-def test_offset_bound_boundary(make, best, floor, mode, cells, monkeypatch):
+def test_offset_bound_boundary(make, best, floor, mode, cells, parts, monkeypatch):
     ds = make()
 
     def alone(k):
@@ -600,6 +610,7 @@ def test_offset_bound_boundary(make, best, floor, mode, cells, monkeypatch):
     winner = 2 if floor < best else 1
     assert link_of(ds, 0, FLOOR_CFG)[0] == winner
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+    _search_in_parts(monkeypatch, len(ds), parts)
     links = build_links(ds, FLOOR_CFG)
     assert (links.targets[0], links.errors[0], links.modes[0]) == (winner, min(floor, best), mode)
     # every score here is far below the first round's bound, so one round
@@ -754,8 +765,9 @@ def _gated_points():
             AisPoint(20, ahead[1][0] + 0.001, ahead[1][1], 10.0, 0.0)]
 
 
+@pytest.mark.parametrize("parts", [1, 4])
 @pytest.mark.parametrize("cells", [1, 7, 16384])
-def test_lowest_offset_cell_failing_its_gate_does_not_link(cells, monkeypatch):
+def test_lowest_offset_cell_failing_its_gate_does_not_link(cells, parts, monkeypatch):
     ds = TrackDataset.from_points(_gated_points())
     pts = reference.pts_of(ds)
     offsets = [abs(complex(*reference.advance(37.0, -76.0, 10.0, 0.0, int(ds.t[k])))
@@ -764,6 +776,7 @@ def test_lowest_offset_cell_failing_its_gate_does_not_link(cells, monkeypatch):
     assert reference.pair_score(pts[0], pts[1], ds.alpha, CFG) is not None
     assert reference.pair_score(pts[0], pts[2], ds.alpha, CFG) is None
     monkeypatch.setattr(cbtr, "_BLOCK_CELLS", cells)
+    _search_in_parts(monkeypatch, len(ds), parts)
     links = build_links(ds, CFG)
     expected = reference.link_all(pts, ds.alpha, CFG)
     assert expected[0][0] == 3
