@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -58,18 +60,33 @@ def _manifest_text(command: str, config: dict, input_sha256: str,
     return "\n".join(lines) + "\n"
 
 
+# bytes hashed at a time, so the input is never held whole
+_HASH_CHUNK = 2 ** 20
+
+
 def _sha256_of(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
-# characters encoded and written at a time, so a text is never held twice
-_WRITE_CHARS = 2 ** 16
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for start in range(0, len(text), _WRITE_CHARS):
-            handle.write(text[start:start + _WRITE_CHARS])
+def _write_outputs(out: Path, writers: dict[str, Callable[[BinaryIO], object]]) -> None:
+    """Each writer fills a temp file in ``out``, in order; only once all are
+    complete do they replace their named files.  A failing writer leaves an
+    earlier run's files as they were, and no temp file behind."""
+    temps: dict[str, Path] = {}
+    try:
+        for name, write in writers.items():
+            temps[name] = out / f".{name}.{os.getpid()}.tmp"
+            with open(temps[name], "wb") as handle:
+                write(handle)
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def _config_from(args: argparse.Namespace, cls):
@@ -105,13 +122,16 @@ _ASSIGNMENT_ROW = np.dtype([(name, np.int64 if name in _ASSIGNMENT_INTS else "U0
                             for name in _ASSIGNMENT_HEADER.split(",")])
 
 
-def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment) -> str:
-    """One row per report; lat and lon as ``repr`` writes them."""
+def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment) -> Iterator[bytes]:
+    """The header, then the rows a block at a time: one row per report, lat
+    and lon as ``repr`` writes them."""
     n = len(ds)
     flags = (index_mask(n, assignment.endpoints), index_mask(n, assignment.abnormal))
     columns = [np.arange(n), ds.t, ds.lat, ds.lon, assignment.cluster_of,
                *(f.view(np.uint8) for f in flags)]
-    return "".join([_ASSIGNMENT_HEADER + "\n", *csv_rows(columns)])
+    yield (_ASSIGNMENT_HEADER + "\n").encode()
+    for block in csv_rows(columns):
+        yield block.encode()
 
 
 def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
@@ -165,9 +185,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     if args.algo == "cbtr":
-        result = run_cbtr(ds, cfg)
-        assignment = result.assignment
-        targets = surviving_targets(result.links, result.report)
+        # only the assignment and its targets outlive the run, not its links
+        assignment, links, abnormal = run_cbtr(ds, cfg)
+        targets = surviving_targets(links, abnormal)
+        del links, abnormal
     else:
         targets = npc_grouping_targets(ds, cfg)
         assignment = npc_cluster(targets)
@@ -181,23 +202,19 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(f"clustered {len(ds)} points into {assignment.n_clusters} clusters "
               f"in {runtime:.3f} s (no vessel ids, metrics omitted)")
 
-    # every output is rendered before the first write, so a failing writer
-    # leaves an earlier run's files as they were; the GeoJSON goes first,
-    # as its build needs the most memory and no other text is held yet
-    geojson = export_geojson(ds, assignment)
-    texts = {
-        "assignment.csv": _assignment_csv(ds, assignment),
-        "timeline.svg": export_label_timeline(ds, assignment),
-        "manifest.txt": _manifest_text(f"cluster --algo {args.algo}", asdict(cfg),
-                                       _sha256_of(args.input), report),
-    }
+    # each output is rendered when its file is written, so one is held at a time
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "tracks.geojson", "wb") as handle:
-        handle.write(geojson)
-        handle.write(b"\n")
-    for name, text in texts.items():
-        _write_text(out / name, text)
+    _write_outputs(out, {
+        "tracks.geojson": lambda handle: handle.writelines(
+            (export_geojson(ds, assignment), b"\n")),
+        "assignment.csv": lambda handle: handle.writelines(_assignment_csv(ds, assignment)),
+        "timeline.svg": lambda handle: handle.write(
+            export_label_timeline(ds, assignment).encode()),
+        "manifest.txt": lambda handle: handle.write(_manifest_text(
+            f"cluster --algo {args.algo}", asdict(cfg), _sha256_of(args.input),
+            report).encode()),
+    })
     print(f"wrote {out / 'assignment.csv'}")
     return 0
 

@@ -8,9 +8,10 @@ shifted so the earliest report sits at t=0, and the dataset's ``epoch`` holds
 that report's unix time in integer seconds.
 
 Parsing runs by column: one ``np.loadtxt`` pass splits the rows and converts
-the four float columns, and numpy masks check their ranges.  Only when that
-pass fails does a per-line scan run, to name the first line that breaks the
-format.
+the four float columns and integer timestamps, and numpy masks check their
+ranges.  Only when that pass fails are the timestamps read again as text
+(ISO-8601 times), and only when that fails too does a per-line scan run, to
+name the first line that breaks the format.
 
 Writing runs by column too: ``number_text`` renders a whole column of
 numbers in one call, exactly as ``repr`` (for floats) or ``str`` (for
@@ -88,19 +89,6 @@ def _parse_number(raw: str) -> float:
     return value
 
 
-def _timestamps(raw: np.ndarray) -> np.ndarray:
-    """Integer seconds of a column of timestamp strings."""
-    # one check of the whole column keeps int() to the syntax _parse_timestamp takes
-    if _plain("".join(raw)):
-        try:
-            seconds = np.fromiter(map(int, raw), dtype=np.int64, count=len(raw))
-            if np.all((seconds > -_SECONDS_LIMIT) & (seconds < _SECONDS_LIMIT)):
-                return seconds
-        except (ValueError, OverflowError):
-            pass  # ISO text, or a value past the limit, which _parse_timestamp names
-    return np.fromiter(map(_parse_timestamp, raw), dtype=np.int64, count=len(raw))
-
-
 def _data_lines(handle: TextIO):
     """(line number, fields) of each non-blank record after the header."""
     handle.seek(0)
@@ -127,10 +115,19 @@ def _first_format_error(handle: TextIO, labeled: bool, fallback: Exception) -> I
     return IngestError(f"unreadable CSV: {fallback}")
 
 
-def _column_dtype(labeled: bool) -> np.dtype:
+def _load(handle: TextIO, labeled: bool, timestamp: type) -> np.ndarray:
+    """The data rows as a structured array, the timestamps read as ``timestamp``
+    (int64, or object for their text)."""
     text_fields = (("vid", object),) if labeled else ()
-    return np.dtype([*text_fields, ("timestamp", object),
-                     *((name, np.float64) for name in REQUIRED_COLUMNS[1:])])
+    dtype = np.dtype([*text_fields, ("timestamp", timestamp),
+                      *((name, np.float64) for name in REQUIRED_COLUMNS[1:])])
+    with warnings.catch_warnings():
+        # loadtxt warns about blank lines and about input without rows
+        warnings.simplefilter("ignore", UserWarning)
+        # numpy before 2.0 reads "5.0" into an int64 column, with this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(handle, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1)
 
 
 def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDataset:
@@ -167,19 +164,29 @@ def _parse(handle: TextIO, has_labels: bool | None) -> TrackDataset:
     if has_labels is False and labeled:
         raise IngestError("line 1: unexpected vid column")
 
+    body = handle.tell()
     try:
-        with warnings.catch_warnings():
-            # loadtxt warns about blank lines and about input without rows
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(handle, dtype=_column_dtype(labeled), delimiter=",",
-                               quotechar='"', comments=None, ndmin=1)
+        try:
+            table = _load(handle, labeled, np.int64)
+            raw_t = table["timestamp"]
+        except (ValueError, DeprecationWarning):
+            # ISO text, a value past int64 or a bad row: read the times as text
+            handle.seek(body)
+            table = _load(handle, labeled, object)
+            raw_t = np.fromiter(map(_parse_timestamp, table["timestamp"]), dtype=np.int64,
+                                count=len(table))
         if labeled and np.any(table["vid"] == ""):
             raise ValueError("empty vid")
-        raw_t = _timestamps(table["timestamp"])
+        if not np.all((raw_t > -_SECONDS_LIMIT) & (raw_t < _SECONDS_LIMIT)):
+            raise ValueError("timestamp out of range")
     except ValueError as exc:
         raise _first_format_error(handle, labeled, exc) from None
     if not len(table):
         raise IngestError("no data rows")
+    if labeled:
+        # every row's id is its own str; keep one per vessel
+        distinct: dict[str, str] = {}
+        table["vid"] = [distinct.setdefault(vid, vid) for vid in table["vid"].tolist()]
 
     columns = [table[name] for name in REQUIRED_COLUMNS[1:]]
     bad = first_bad_report(*columns)

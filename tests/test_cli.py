@@ -3,7 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from trackstitch.cli import main
 from trackstitch.ingest import parse_ais_csv, write_ais_csv
 from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
 from trackstitch.npc import NpcConfig
+from trackstitch.synth import generate_fleet, scenario_s1
 
 OUT_FILES = ("assignment.csv", "tracks.geojson", "timeline.svg", "manifest.txt")
 
@@ -193,7 +195,10 @@ def test_manifest_replays_byte_identical(fleet_csv, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_failing_writer_leaves_an_earlier_run_unchanged(fleet_csv, tmp_path, monkeypatch):
+# the renderers of the first, a middle and the last output written
+@pytest.mark.parametrize("writer", ["export_geojson", "export_label_timeline", "_manifest_text"])
+def test_failing_writer_leaves_an_earlier_run_unchanged(fleet_csv, tmp_path, monkeypatch,
+                                                         writer):
     other = tmp_path / "other.csv"
     assert main(["synth", "--n-vessels", "4", "--duration-s", "600", "--seed", "6",
                  "--out", str(other)]) == 0
@@ -201,16 +206,32 @@ def test_failing_writer_leaves_an_earlier_run_unchanged(fleet_csv, tmp_path, mon
     assert main(["cluster", str(other), "--out", str(out)]) == 0
     earlier = {name: (out / name).read_bytes() for name in OUT_FILES}
 
-    def failing(ds, assignment):
-        raise ValueError("timeline failed")
+    def failing(*args):
+        raise ValueError(f"{writer} failed")
 
-    monkeypatch.setattr(cli, "export_label_timeline", failing)
+    monkeypatch.setattr(cli, writer, failing)
     assert main(["cluster", str(fleet_csv), "--out", str(out)]) == 1
+    assert sorted(os.listdir(out)) == sorted(OUT_FILES)
     for name in OUT_FILES:
         assert (out / name).read_bytes() == earlier[name], name
     monkeypatch.undo()
     assert main(["cluster", str(fleet_csv), "--out", str(out)]) == 0
     assert (out / "assignment.csv").read_bytes() != earlier["assignment.csv"]
+
+
+def test_cluster_holds_one_output_at_a_time(tmp_path):
+    # the ~50k-report long-sparse benchmark fleet: its GeoJSON build sets the
+    # call's peak, about 13.5 MiB; holding the rendered outputs together, the
+    # whole input for its hash, or a str per report's vid or time passes 16 MiB
+    fleet = tmp_path / "long.csv"
+    write_ais_csv(generate_fleet(replace(scenario_s1(7), duration_s=132_000)), fleet)
+    tracemalloc.start()
+    try:
+        assert main(["cluster", str(fleet), "--out", str(tmp_path / "run")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_assignment_row_blocks_are_invisible(fleet_csv, tmp_path, monkeypatch):

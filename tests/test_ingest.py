@@ -30,6 +30,12 @@ def test_parse_labeled():
     assert ds.epoch == "100"
 
 
+def test_parsed_vids_share_one_object_per_vessel():
+    ds = parse_ais_csv(io.StringIO(LABELED + "V2,190,37.0,-76.2,5.0,10.0\n"))
+    assert ds.vids == ("V1", "V2", "V1", "V2")
+    assert len(set(map(id, ds.vids))) == 2
+
+
 def test_parse_unlabeled():
     ds = parse_ais_csv(io.StringIO(UNLABELED))
     assert not ds.has_vids()
@@ -92,6 +98,14 @@ REJECTED = [
                  id="underscore-timestamp"),
     pytest.param(HEAD5 + "5,1,2,3,4\n\u0661\u0662,1,2,3,4\n",
                  "line 3: bad timestamp '\u0661\u0662'", id="non-ascii-timestamp"),
+    # the int64 column takes only ASCII digits after an optional sign
+    pytest.param(HEAD5 + "5.0,1,2,3,4\n", "line 2: bad timestamp '5.0'",
+                 id="whole-float-timestamp"),
+    pytest.param(HEAD5 + "1_0,1,2,3,4\n", "line 2: bad timestamp '1_0'",
+                 id="short-underscore-timestamp"),
+    pytest.param(HEAD5 + "\u0661,1,2,3,4\n", "line 2: bad timestamp '\u0661'",
+                 id="arabic-indic-digit-timestamp"),
+    pytest.param(HEAD5 + "0x10,1,2,3,4\n", "line 2: bad timestamp '0x10'", id="hex-timestamp"),
     pytest.param(HEAD5 + "5,abc,2,3,4\n",
                  "line 2: could not convert string to float: 'abc'", id="bad-float"),
     pytest.param(HEAD5 + "5,1,2,3,\n",
@@ -164,6 +178,13 @@ ACCEPTED = [
                   "-5"), id="range-edges"),
     pytest.param(HEAD5 + "5,0.1000000000000000055511151231257827,2.4e-324,1e5,.5\n",
                  ([0], [0.1], [0.0], [1e5], [0.5], None, "5"), id="float-syntax"),
+    # integer times as int() reads them
+    pytest.param(HEAD5 + "+5,1,2,3,4\n",
+                 ([0], [1.0], [2.0], [3.0], [4.0], None, "5"), id="plus-signed-time"),
+    pytest.param(HEAD5 + "007,1,2,3,4\n",
+                 ([0], [1.0], [2.0], [3.0], [4.0], None, "7"), id="zero-padded-time"),
+    pytest.param(HEAD5 + "-0,1,2,3,4\n",
+                 ([0], [1.0], [2.0], [3.0], [4.0], None, "0"), id="negative-zero-time"),
 ]
 
 
