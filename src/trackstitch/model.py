@@ -61,15 +61,16 @@ class AisPoint:
                 raise ValueError(message.format(float(value)))
 
 
-def latitude_scale(lats: Iterable[float]) -> float:
+def latitude_scale(lats: Sequence[float]) -> float:
     """Scale factor for latitude differences at the fleet's mean latitude.
 
-    Uses an exact sum so the result does not depend on point order.
+    Uses an exact sum so the result does not depend on point order.  A
+    float array, or a memoryview of one, is summed as it is iterated, with
+    no list of its values.
     """
-    values = list(lats)
-    if not values:
+    if len(lats) == 0:
         raise ValueError("cannot compute latitude scale of an empty dataset")
-    mean_lat = math.fsum(values) / len(values)
+    mean_lat = math.fsum(lats) / len(lats)
     cos_lat = math.cos(math.radians(mean_lat))
     # cos of a float 90.0 is ~6e-17, not 0, so guard with a real threshold
     if cos_lat <= 1e-9:
@@ -173,8 +174,10 @@ class TrackDataset:
                               for values in (lat, lon, sog, cog))
         if vids is not None:
             vids = tuple(np.asarray(vids, dtype=object)[order].tolist())
+        # a memoryview yields plain floats, which fsum reads faster than
+        # numpy scalars or a list of the values
         return cls(t=t[order], lat=lat, lon=lon, sog=sog, cog=cog, vids=vids,
-                   alpha=latitude_scale(lat.tolist()), epoch=epoch)
+                   alpha=latitude_scale(memoryview(lat)), epoch=epoch)
 
     @classmethod
     def from_points(cls, points: Sequence[AisPoint], epoch: str = "") -> "TrackDataset":

@@ -6,6 +6,22 @@ reckoning (kinematics.displace), so the reports are self-consistent before
 noise.  Reporting cadence depends on behavior: maneuvering vessels report
 often, steady ones slowly, cruising ones mostly at the long end of the
 configured range.
+
+A fleet is built in two phases, and its bytes are those of drawing and
+walking one vessel at a time.  Phase 1 makes every random draw, vessel by
+vessel in that order: a moving vessel's per-leg draws (duration or turn,
+course jitter, speed step) and its speed walk, which depend on no
+position; its sample times; its gap windows; and its sample noise, which is
+drawn to move the stream on and drawn again from the saved state when the
+vessel is realized.  The sample intervals are one batch of bounded integer
+draws, which consumes the stream exactly as the same number of scalar
+draws does (the 32-bit half a 64-bit output leaves buffered included); the
+batch is sized for the most intervals the vessel can need, the state is
+restored, and only those used are drawn again.  Phase 2 walks the legs of
+all moving vessels in lockstep through array calls of `displace`, with the
+bearing and radius of each from `math.atan2` and `math.hypot`, whose last
+bit `np.arctan2` and `np.hypot` do not always match.  Each vessel's samples
+are then realized in vessel order.
 """
 
 from __future__ import annotations
@@ -108,13 +124,32 @@ def _inner_box(bbox: tuple[float, float, float, float], frac: float
     return lat_min + lat_pad, lat_max - lat_pad, lon_min + lon_pad, lon_max - lon_pad
 
 
-def _moving_legs(rng: np.random.Generator, cfg: SynthConfig, sharp: bool) -> list[_Leg]:
+class _Loop(NamedTuple):
+    """A moving vessel's path before its walk: the loop it steers around,
+    its first position and heading, and per leg the start time, speed and
+    drawn course jitter.  The walk places every later leg."""
+    center_lat: float
+    center_lon: float
+    lon_m: float
+    radius_m: float
+    sign: float
+    lat: float
+    lon: float
+    cog: float
+    t0: np.ndarray
+    sog: np.ndarray
+    jitter: np.ndarray
+
+
+def _moving_loop(rng: np.random.Generator, cfg: SynthConfig, sharp: bool) -> _Loop:
     """Piecewise constant-velocity path that circulates inside the region.
 
     Vessels work around a loop sized to fit well inside the bbox, steering
     back onto it with a small tangent correction at every waypoint, so no
     path ever has to slam into a wall and reverse.  The sharp variant takes
     big zigzag turns around its loop; the cruising variant curves gently.
+    No draw depends on a position: this makes every draw of the path, and
+    `_walk_loops` places its legs.
     """
     lat_min, lat_max, lon_min, lon_max = cfg.bbox
     if sharp:
@@ -153,10 +188,10 @@ def _moving_legs(rng: np.random.Generator, cfg: SynthConfig, sharp: bool) -> lis
     # tangent heading for the chosen direction of travel
     cog = (math.degrees(theta) + sign * 90.0) % 360.0
 
-    legs = [_Leg(0, lat, lon, sog, cog)]
+    t0, sogs, jitters = [0], [sog], [0.0]
     t = 0
     while t < cfg.duration_s:
-        speed_mps = legs[-1].sog * KNOT_MPS
+        speed_mps = sogs[-1] * KNOT_MPS
         if sharp:
             turn = rng.uniform(35.0, 50.0)
             dur = int(radius_m * math.radians(turn) / speed_mps)
@@ -166,19 +201,64 @@ def _moving_legs(rng: np.random.Generator, cfg: SynthConfig, sharp: bool) -> lis
             dur = int(rng.integers(40, 81))
             jitter = 1.5
         t += dur
-        prev = legs[-1]
-        lat, lon = displace(prev.lat, prev.lon, prev.sog, prev.cog, t - prev.t0)
-        # re-anchor the heading to the loop: tangent at the current bearing
-        # from the center, nudged inward or outward to hold the radius
-        north_m = (lat - center_lat) * M_PER_DEG_LAT
-        east_m = (lon - center_lon) * lon_m
-        r = math.hypot(north_m, east_m)
-        phi = math.degrees(math.atan2(east_m, north_m))
-        correction = min(max(140.0 * (r - radius_m) / radius_m, -14.0), 14.0)
-        cog = (phi + sign * (90.0 + correction) + rng.normal(0.0, jitter)) % 360.0
-        sog = min(max(prev.sog + rng.normal(0.0, 0.25), sog_lo), sog_hi)
-        legs.append(_Leg(t, lat, lon, sog, cog))
-    return legs
+        t0.append(t)
+        jitters.append(rng.normal(0.0, jitter))
+        sogs.append(min(max(sogs[-1] + rng.normal(0.0, 0.25), sog_lo), sog_hi))
+    return _Loop(center_lat, center_lon, lon_m, radius_m, sign, lat, lon, cog,
+                 np.array(t0, dtype=np.int64), np.array(sogs), np.array(jitters))
+
+
+def _walk_loops(loops: list[_Loop]) -> list[tuple[np.ndarray, ...]]:
+    """Each loop's legs as (t0, lat, lon, sog, cog) arrays.
+
+    Every vessel advances one leg at a time together: a leg starts where
+    dead reckoning along the previous one ends, with a course that
+    re-anchors the heading to the loop (the tangent at the bearing from the
+    center, nudged inward or outward to hold the radius) plus the drawn
+    jitter.  The vessels are walked in order of descending leg count, so
+    those still moving at leg k are a prefix, and each vessel's legs are
+    one block of the flat arrays.  The bearing and the radius are taken
+    with `math.atan2` and `math.hypot` per vessel: `np.arctan2` and
+    `np.hypot` differ from them in the last bit on some inputs.
+    """
+    if not loops:
+        return []
+    order = sorted(range(len(loops)), key=lambda j: -len(loops[j].t0))
+    counts = [len(loops[j].t0) for j in order]
+    starts = np.cumsum([0] + counts[:-1])
+    sog, jitter, dur = (np.concatenate(arrays) for arrays in zip(
+        *((loops[j].sog, loops[j].jitter, np.diff(loops[j].t0, prepend=0)) for j in order)))
+    lat, lon, cog = (np.empty(len(sog)) for _ in range(3))
+    # per vessel: where its block starts, its loop, and where its latest
+    # leg starts (the _Loop fields before t0); cut to the vessels still
+    # moving as the others stop
+    first = starts
+    center_lat, center_lon, lon_m, radius_m, sign, lat_k, lon_k, cog_k = (
+        np.array(field) for field in zip(*(loops[j][:8] for j in order)))
+    lat[starts], lon[starts], cog[starts] = lat_k, lon_k, cog_k
+    active = len(order)
+    for k in range(1, counts[0]):
+        if counts[active - 1] <= k:
+            while counts[active - 1] <= k:
+                active -= 1
+            first, center_lat, center_lon, lon_m, radius_m, sign, lat_k, lon_k, cog_k = (
+                a[:active] for a in (first, center_lat, center_lon, lon_m, radius_m, sign,
+                                     lat_k, lon_k, cog_k))
+        at = first + k
+        lat_k, lon_k = displace(lat_k, lon_k, sog[at - 1], cog_k, dur[at])
+        north_m = ((lat_k - center_lat) * M_PER_DEG_LAT).tolist()
+        east_m = ((lon_k - center_lon) * lon_m).tolist()
+        r = np.array(list(map(math.hypot, north_m, east_m)))
+        # np.degrees, like math.degrees, multiplies by the double nearest 180/pi
+        phi = np.degrees(list(map(math.atan2, east_m, north_m)))
+        correction = np.minimum(np.maximum(140.0 * (r - radius_m) / radius_m, -14.0), 14.0)
+        cog_k = (phi + sign * (90.0 + correction) + jitter[at]) % 360.0
+        lat[at], lon[at], cog[at] = lat_k, lon_k, cog_k
+    walked = [None] * len(loops)
+    for j, start, count in zip(order, starts.tolist(), counts):
+        block = slice(start, start + count)
+        walked[j] = (loops[j].t0, lat[block], lon[block], loops[j].sog, cog[block])
+    return walked
 
 
 def _drift_legs(rng: np.random.Generator, cfg: SynthConfig,
@@ -224,8 +304,9 @@ def _place_anchors(rng: np.random.Generator, cfg: SynthConfig,
     return anchors
 
 
-def _draw_interval(rng: np.random.Generator, archetype: str,
-                   bounds: tuple[int, int]) -> int:
+def _interval_band(archetype: str, bounds: tuple[int, int]) -> tuple[int, int]:
+    """The range of a vessel's reporting intervals: a slice of bounds set by
+    its behavior, or all of bounds where that slice is empty."""
     lo, hi = bounds
     if archetype == "transit":
         a, b = max(lo, 30), min(hi, 65)
@@ -235,8 +316,30 @@ def _draw_interval(rng: np.random.Generator, archetype: str,
         a, b = max(lo, 60), hi
     if a > b:
         a, b = lo, hi
-    value = int(rng.integers(a, b + 1))
-    return max(lo, min(hi, value))
+    return a, b
+
+
+def _sample_times(rng: np.random.Generator, band: tuple[int, int],
+                  duration_s: int) -> np.ndarray:
+    """A vessel's sample times: a start in [0, 15], then one interval drawn
+    from band after each sample, until a sample would fall past duration_s.
+
+    The stream is consumed exactly as by one scalar `integers` call per
+    interval.  A batch of bounded int64 draws equals the same number of
+    scalar draws, including the 32-bit half of a 64-bit output that the bit
+    generator buffers.  The first batch is sized for the most intervals the
+    vessel can need, so it only counts them; the state is then restored and
+    exactly that many are drawn again.
+    """
+    a, b = band
+    first = int(rng.integers(0, 16))
+    state = rng.bit_generator.state
+    # each interval is at least a, so no vessel needs more draws than this
+    steps = rng.integers(a, b + 1, size=(duration_s - first) // a + 1)
+    count = int(np.searchsorted(np.cumsum(steps[:-1]), duration_s - first, side="right")) + 1
+    rng.bit_generator.state = state
+    steps = rng.integers(a, b + 1, size=count)
+    return first + np.concatenate(([0], np.cumsum(steps[:-1])))
 
 
 def _default_mix(n: int) -> tuple[str, ...]:
@@ -245,53 +348,72 @@ def _default_mix(n: int) -> tuple[str, ...]:
     return tuple(cycle[i % len(cycle)] for i in range(n))
 
 
-def generate_fleet(cfg: SynthConfig) -> TrackDataset:
-    """Simulate the fleet and sample it into a labeled dataset."""
+def _vessel_columns(cfg: SynthConfig) -> list[tuple[np.ndarray, ...]]:
+    """Each vessel's samples as (t, lat, lon, sog, cog) columns, in vessel order."""
     rng = np.random.default_rng(cfg.seed)
     archetypes = cfg.archetypes or _default_mix(cfg.n_vessels)
     n_steady = sum(a.startswith("steady") for a in archetypes)
     anchors = iter(_place_anchors(rng, cfg, n_steady))
 
-    columns = []
-    for archetype in archetypes:
-        if archetype == "transit":
-            legs = _moving_legs(rng, cfg, sharp=False)
-        elif archetype == "turning":
-            legs = _moving_legs(rng, cfg, sharp=True)
-        elif archetype == "steady-docked":
-            alat, alon = next(anchors)
-            legs = [_Leg(0, alat, alon, 0.0, float(rng.uniform(0.0, 360.0)))]
+    # phase 1: every draw, one vessel after another in the stream's order;
+    # each vessel's legs as (t0, lat, lon, sog, cog), a moving one's after
+    # phase 2
+    legs, moving, loops, samples = [], [], [], []
+    for v, archetype in enumerate(archetypes):
+        if archetype in ("transit", "turning"):
+            legs.append(None)
+            moving.append(v)
+            loops.append(_moving_loop(rng, cfg, sharp=archetype == "turning"))
         else:
-            legs = _drift_legs(rng, cfg, next(anchors))
+            if archetype == "steady-docked":
+                alat, alon = next(anchors)
+                path = [_Leg(0, alat, alon, 0.0, float(rng.uniform(0.0, 360.0)))]
+            else:
+                path = _drift_legs(rng, cfg, next(anchors))
+            legs.append(tuple(map(np.array, zip(*path))))
 
-        times = []
-        t = int(rng.integers(0, 16))
-        while t <= cfg.duration_s:
-            times.append(t)
-            t += _draw_interval(rng, archetype, cfg.sample_interval_s)
-
+        t = _sample_times(rng, _interval_band(archetype, cfg.sample_interval_s),
+                          cfg.duration_s)
         if cfg.gaps_per_vessel:
             glo, ghi = cfg.gap_duration_s
-            windows = []
+            keep = np.ones(len(t), dtype=bool)
             for _ in range(cfg.gaps_per_vessel):
                 start = int(rng.integers(int(cfg.duration_s * 0.15),
                                          int(cfg.duration_s * 0.85)))
-                windows.append((start, start + int(rng.integers(glo, ghi + 1))))
-            times = [s for s in times
-                     if not any(a <= s < b for a, b in windows)]
+                end = start + int(rng.integers(glo, ghi + 1))
+                keep &= (t < start) | (t >= end)
+            t = t[keep]
 
+        noise_state = None
+        if cfg.noise_sigma_m > 0.0:
+            # a lat and a lon draw per sample, in sample order; drawn again
+            # from this state when the vessel is realized
+            noise_state = rng.bit_generator.state
+            rng.normal(0.0, cfg.noise_sigma_m, size=(len(t), 2))
+        samples.append((t, noise_state))
+
+    # phase 2: the moving vessels' positions, all walked together
+    for v, path in zip(moving, _walk_loops(loops)):
+        legs[v] = path
+
+    columns = []
+    for (t0, lat0, lon0, sog, cog), (t, noise_state) in zip(legs, samples):
         # each sample on the leg it falls in, realized in one pass
-        t0, lat0, lon0, sog, cog = map(np.array, zip(*legs))
-        t = np.array(times, dtype=np.int64)
         leg = np.searchsorted(t0, t, side="right") - 1
         lat, lon = displace(lat0[leg], lon0[leg], sog[leg], cog[leg], t - t0[leg])
-        if cfg.noise_sigma_m > 0.0:
-            # a lat and a lon draw per sample, in sample order
+        if noise_state is not None:
+            rng.bit_generator.state = noise_state
             noise = rng.normal(0.0, cfg.noise_sigma_m, size=(len(t), 2))
             lat = lat + noise[:, 0] / M_PER_DEG_LAT
             lon = lon + noise[:, 1] / (M_PER_DEG_LON_EQ * np.cos(np.radians(lat)))
         columns.append((t, lat, lon, sog[leg], cog[leg]))
+    return columns
 
+
+def generate_fleet(cfg: SynthConfig) -> TrackDataset:
+    """Simulate the fleet and sample it into a labeled dataset."""
+    # the simulation's working arrays are freed before the dataset is built
+    columns = _vessel_columns(cfg)
     names = np.array([f"V{v:02d}" for v in range(len(columns))], dtype=object)
     vessel = np.repeat(np.arange(len(columns)), [len(col[0]) for col in columns])
     return TrackDataset.from_columns(*map(np.concatenate, zip(*columns)),

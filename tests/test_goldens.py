@@ -16,7 +16,7 @@ import pytest
 
 from trackstitch.cli import main
 from trackstitch.ingest import write_ais_csv
-from trackstitch.synth import SynthConfig, generate_fleet
+from trackstitch.synth import SynthConfig, generate_fleet, scenario_s1
 
 OUT_FILES = ("assignment.csv", "tracks.geojson", "timeline.svg", "manifest.txt")
 RENAMED = {"V00": "a,b", "V01": 'say "hi"', "V02": "<&> tug", "V03": "plain"}
@@ -44,6 +44,22 @@ SYNTH_MORE_SHA256 = {
                       "407cc2bbcc951e490bc7457610dc3c94a26719ddc204189b7f117ebad0a372f5"),
     "clean-9-seed7": (["--n-vessels", "9", "--seed", "7"],
                       "d5b8dc98f27799df7430914ee52794c0988775eb14cca43c72d83b4482046404"),
+}
+# write_ais_csv bytes of fleets beyond the 4 h ones above: the benchmark's
+# long-sparse and dense-harbor fleets, and a gapped, noisy fleet whose
+# interval range is narrower than the transit and steady bands, so those
+# vessels draw from the whole range
+FLEET_CSV_SHA256 = {
+    "long-sparse-seed7": (replace(scenario_s1(7), duration_s=132_000),
+                          "cc89d161099dd8f17e3bb8502ec1ae0228ce325d5f2db6028a20d49d6a47feb9"),
+    "dense-harbor-seed7": (SynthConfig(n_vessels=200, duration_s=3600, noise_sigma_m=10.0,
+                                       seed=7),
+                           "34d740ea82b879cb24d25f03dda86857b5466a555e807f1e6328071c215cf9c6"),
+    "narrow-band-gapped-seed11": (
+        SynthConfig(n_vessels=7, duration_s=3600, sample_interval_s=(2, 20),
+                    noise_sigma_m=30.0, gaps_per_vessel=2, gap_duration_s=(300, 600),
+                    seed=11),
+        "92e5ca770f0cb30f31f406c9c01d30c1df58b648eac2e07eb1f1f99222cba0e2"),
 }
 DOWNSAMPLE_SHA256 = {
     "every-5th": "f07e127edb53c0d7dcb708bf6d5dfa43b3689ad40bd44b913c83919663898f01",
@@ -96,6 +112,14 @@ def test_synth_s1_seed7_is_pinned(tmp_path):
 def test_synth_fleet_is_pinned(tmp_path, fleet):
     args, digest = SYNTH_MORE_SHA256[fleet]
     assert _synth_sha256(tmp_path, args) == digest
+
+
+@pytest.mark.parametrize("fleet", sorted(FLEET_CSV_SHA256))
+def test_generated_fleet_csv_is_pinned(tmp_path, fleet):
+    cfg, digest = FLEET_CSV_SHA256[fleet]
+    path = tmp_path / "fleet.csv"
+    write_ais_csv(generate_fleet(cfg), path)
+    assert _sha256(path) == digest
 
 
 @pytest.mark.parametrize("pattern", ["every-5th", "every-2nd"])

@@ -48,6 +48,8 @@ def test_latitude_scale_rejects_empty_and_pole():
     with pytest.raises(ValueError):
         latitude_scale([])
     with pytest.raises(ValueError):
+        latitude_scale(np.array([]))
+    with pytest.raises(ValueError):
         latitude_scale([90.0])
 
 
@@ -57,6 +59,12 @@ def test_latitude_scale_order_independent(lats, rng):
     shuffled = list(lats)
     rng.shuffle(shuffled)
     assert latitude_scale(shuffled) == latitude_scale(lats)
+
+
+@given(st.lists(st.floats(min_value=-89.0, max_value=89.0), min_size=1, max_size=40))
+def test_latitude_scale_of_an_array_equals_its_list(lats):
+    array = np.array(lats)
+    assert latitude_scale(array) == latitude_scale(memoryview(array)) == latitude_scale(lats)
 
 
 def _points():

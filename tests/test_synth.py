@@ -9,6 +9,8 @@ from trackstitch.synth import (
     EVERY_2ND,
     EVERY_5TH,
     SynthConfig,
+    _interval_band,
+    _sample_times,
     downsample,
     even_odd_split,
     generate_fleet,
@@ -76,6 +78,43 @@ def test_cadence_respects_archetype_bands():
         gaps = np.diff(ds.t[members])
         assert gaps.min() >= lo, vid
         assert gaps.max() <= hi, vid
+
+
+def _scalar_sample_times(rng, band, duration_s):
+    """The sample-time loop with one scalar draw per interval."""
+    a, b = band
+    times = []
+    t = int(rng.integers(0, 16))
+    while t <= duration_s:
+        times.append(t)
+        t += int(rng.integers(a, b + 1))
+    return times
+
+
+def test_sample_times_leave_the_stream_where_scalar_draws_do():
+    seen = set()
+    for seed in (0, 7, 120):
+        for archetype, bounds in (("transit", (2, 180)), ("turning", (2, 180)),
+                                  ("steady-docked", (2, 180)),
+                                  # bands that fall back to the whole range
+                                  ("transit", (2, 20)), ("steady-drifting", (2, 20)),
+                                  ("turning", (1, 1)), ("transit", (7, 7))):
+            band = _interval_band(archetype, bounds)
+            for duration_s in (bounds[1] + 16, 601, 1000):
+                # 0 or 1 32-bit halves buffered in the bit generator on entry
+                for buffered in (0, 1):
+                    batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                    batch.integers(0, 1000, size=buffered)
+                    scalar.integers(0, 1000, size=buffered)
+                    times = _sample_times(batch, band, duration_s)
+                    expected = _scalar_sample_times(scalar, band, duration_s)
+                    assert times.dtype == np.int64
+                    assert times.tolist() == expected
+                    assert batch.bit_generator.state == scalar.bit_generator.state
+                    assert batch.integers(0, 2**40) == scalar.integers(0, 2**40)
+                    seen.add((len(expected) % 2, scalar.bit_generator.state["has_uint32"]))
+    # odd and even draw counts, each leaving a half buffered and not
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_docked_vessel_never_moves():
