@@ -15,7 +15,7 @@ import numpy as np
 
 from .kinematics import ground_distance_m, turning_cos, velocity
 from .model import CbtrConfig, ClusterAssignment, LinkSet, TrackDataset
-from .search import SlabIndex, blocks, first_minima
+from .search import SlabIndex, first_minima, gather, run_rounds
 
 
 @dataclass(frozen=True)
@@ -268,30 +268,6 @@ def _tube(index: SlabIndex, ws: _Workspace, rows: np.ndarray, bound: float):
     return at[kept], first, stop, south[kept], north[kept]
 
 
-def _boxed(index: SlabIndex, lat: np.ndarray, t: np.ndarray, t_rows: np.ndarray,
-           window_s: int, tube):
-    """The cells of a chunk's ``tube`` that lie within their run's latitudes
-    and their row's window, as (position in the chunk, column), row by row,
-    in batches of at most _BLOCK_CELLS.  ``lat`` and ``t`` are the index's
-    latitudes and times in its own order, so a run's are adjacent;
-    ``t_rows`` are the chunk's times."""
-    at, first, stop, south, north = tube
-    t_at = t_rows[at]
-    places, cols, size = [], [], 0
-    for run, pos in blocks(first, stop, _BLOCK_CELLS):
-        y, dt = lat[pos], t[pos]
-        dt -= t_at[run]
-        box = np.flatnonzero((y >= south[run]) & (y <= north[run]) & (dt > 0) & (dt <= window_s))
-        if size + box.size > _BLOCK_CELLS:
-            yield np.concatenate(places), np.concatenate(cols)
-            places, cols, size = [], [], 0
-        places.append(at[run[box]])
-        cols.append(index.cols[pos[box]])
-        size += box.size
-    if size:
-        yield np.concatenate(places), np.concatenate(cols)
-
-
 def _link_rows(ws: _Workspace, index: SlabIndex):
     """Link every report over ``index``, an index of all reports: return
     each one's target (-1: none), error (inf: none) and mode (0: none), and
@@ -300,44 +276,46 @@ def _link_rows(ws: _Workspace, index: SlabIndex):
     Each round gives every pending row the same bound: _START_BOUND at
     first, 4x in each later round.  It scores each row's cells in the
     _tube that holds every cell that may score below it, _CHUNK_ROWS rows
-    at a time.  A row is done once its best is below the bound, since
-    every cell that could beat it or tie with it has been scored, or once
-    the cells scored have covered its whole window: a cell that _boxed
-    drops is not counted.  A new best replaces the old one when its error
-    is lower, or equal at a lower column, so each row gets the same link
-    as one scan of its whole window.
+    at a time, less those outside their run's latitudes or their row's
+    window.  A row is done once its best is below the bound, since every
+    cell that could beat it or tie with it has been scored, or once the
+    cells scored have covered its whole window: a dropped cell is not
+    counted.  A new best replaces the old one when its error is lower, or
+    equal at a lower column, so each row gets the same link as one scan of
+    its whole window.
     """
     n = ws.t.size
     targets = np.full(n, -1, dtype=np.int64)
     errors = np.full(n, np.inf)
     modes = np.zeros(n, dtype=np.int8)
-    # the reports' latitudes and times in the index's order
+    # the reports' latitudes and times in the index's order: a run's are adjacent
     lat, t = ws.lat[index.cols], ws.t[index.cols]
-    rows = np.arange(n)
     window_s = ws.cfg.window_s
-    bound = _START_BOUND
-    rounds = scored = 0
-    while rows.size:
-        pending = []
-        for c in range(0, rows.size, _CHUNK_ROWS):
-            part = rows[c:c + _CHUNK_ROWS]
-            tube = _tube(index, ws, part, bound)
-            seen = np.zeros(part.size, dtype=np.int64)
-            for a, cols in _boxed(index, lat, t, ws.t[part], window_s, tube):
-                seen += np.bincount(a, minlength=part.size)
-                scored += a.size
-                found, col, err, mode = _score_block(ws, part[a], cols)
-                held = errors[found]
-                better = (err < held) | ((err == held) & (col < targets[found]))
-                found = found[better]
-                targets[found], errors[found], modes[found] = col[better], err[better], mode[better]
-            undecided = np.flatnonzero(errors[part] >= bound)
-            lo, hi = _window_bounds(ws.t, ws.t[part[undecided]], window_s)
-            pending.append(part[undecided[seen[undecided] < hi - lo]])
-        rounds += 1
-        rows = np.concatenate(pending)
-        bound *= 4
-    return targets, errors, modes, (rounds, scored)
+
+    def chunk(part, bound):
+        at, first, stop, south, north = _tube(index, ws, part, bound)
+        t_at = ws.t[part[at]]
+
+        def keep(run, pos):
+            y, dt = lat[pos], t[pos]
+            dt -= t_at[run]
+            return (y >= south[run]) & (y <= north[run]) & (dt > 0) & (dt <= window_s)
+
+        seen = np.zeros(part.size, dtype=np.int64)
+        for run, pos in gather(first, stop, _BLOCK_CELLS, keep):
+            a = at[run]
+            seen += np.bincount(a, minlength=part.size)
+            found, col, err, mode = _score_block(ws, part[a], index.cols[pos])
+            held = errors[found]
+            better = (err < held) | ((err == held) & (col < targets[found]))
+            found = found[better]
+            targets[found], errors[found], modes[found] = col[better], err[better], mode[better]
+        undecided = np.flatnonzero(errors[part] >= bound)
+        lo, hi = _window_bounds(ws.t, ws.t[part[undecided]], window_s)
+        return part[undecided[seen[undecided] < hi - lo]], int(seen.sum())
+
+    counts = run_rounds(np.arange(n), _CHUNK_ROWS, _START_BOUND, 4, chunk)
+    return targets, errors, modes, counts
 
 
 def build_links(ds: TrackDataset, cfg: CbtrConfig | None = None) -> LinkSet:

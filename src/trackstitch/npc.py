@@ -15,7 +15,7 @@ import numpy as np
 from .cbtr import components_of
 from .kinematics import displace, ground_distance_m
 from .model import ClusterAssignment, TrackDataset, label_codes, label_groups
-from .search import SlabIndex, blocks, first_minima
+from .search import SlabIndex, first_minima, gather, run_rounds
 
 # classification looks back at most this many reports per label
 RECENT_PER_LABEL = 10
@@ -133,12 +133,12 @@ def _time_reach(tf: np.ndarray, rows: np.ndarray, r2: float):
 
 def _distances(feats: list[np.ndarray], row: np.ndarray, col: np.ndarray) -> np.ndarray:
     """Squared feature distance of each cell (row[m], col[m]).  Direct
-    differences, time term first: every other term is non-negative, so no
-    cell rounds below any one of its terms."""
-    d2 = feats[0][row] - feats[0][col]
-    d2 *= d2
-    for f in feats[1:]:
-        diff = f[row] - f[col]
+    differences added to 0.0, time term first: every term is non-negative,
+    so no cell rounds below any one of its terms."""
+    d2, diff = np.zeros((2, row.size))
+    for f in feats:
+        np.take(f, row, out=diff)
+        diff -= f[col]
         diff *= diff
         d2 += diff
     return d2
@@ -159,64 +159,24 @@ def _k_nearest(a: np.ndarray, col: np.ndarray, d2: np.ndarray, k: int):
     return a[taken], col[taken], d2[taken]
 
 
-def _round(t: np.ndarray, feats: list[np.ndarray], lon: np.ndarray, index: SlabIndex,
-           rows: np.ndarray, r2: float, k: int):
-    """One round of the search at the squared radius r2.  Returns each
-    row's count of cells within r2, up to k, the columns of its nearest
-    ones among them (ties to the lower index), and how many cells were
-    scored.
-
-    A row's cells are those of the index runs of every slab its time reach
-    meets, over weighted longitudes within the radius of its own.  Every
-    cell within r2 is among them: no term of its distance exceeds r2.
-    """
-    lo, hi = _time_reach(feats[0], rows, r2)
-    at, slab = index.slabs(t[lo], t[hi - 1])
-    # a longitude term within r2 puts the exact longitude offset below reach
-    reach = np.sqrt(r2) * (1 + 2.0**-40)
-    east = lon[rows][at]
-    west = east - reach
-    east += reach
-    kept, first, stop = index.runs(slab, west, east)
-    at = at[kept]
-    held = np.zeros(rows.size, dtype=np.int64)
-    held_col = np.empty((rows.size, k), dtype=np.int64)
-    held_d2 = np.empty((rows.size, k))
-    scored = 0
-    for run, pos in blocks(first, stop, _BLOCK_CELLS):
-        a, col = at[run], index.cols[pos]
-        row = rows[a]
-        inside = np.flatnonzero((col >= lo[a]) & (col < hi[a]) & (col != row))
-        a, col = a[inside], col[inside]
-        scored += col.size
-        d2 = _distances(feats, row[inside], col)
-        hit = np.flatnonzero(d2 <= r2)
-        # a row's cells are adjacent in run order, so of the rows in this
-        # block only the first can hold cells from the block before
-        carry = at[run[0]]
-        c = held[carry]
-        a, col, d2 = _k_nearest(np.concatenate((np.full(c, carry), a[hit])),
-                                np.concatenate((held_col[carry, :c], col[hit])),
-                                np.concatenate((held_d2[carry, :c], d2[hit])), k)
-        slot = np.arange(a.size) - np.searchsorted(a, a)
-        held_col[a, slot], held_d2[a, slot] = col, d2
-        last = np.flatnonzero(np.diff(a, append=-1))
-        held[a[last]] = slot[last] + 1
-    return held, held_col, scored
-
-
 def _nearest(ds: TrackDataset, cfg: NpcConfig):
     """The k nearest reports of each report in feature space, in index
     order, and (rounds, cells scored) of the search.
 
     Each round gives every pending report the radius R: _START_RADIUS at
-    first, twice as much in each later round.  A report is done once at
-    least k of its cells lie within R**2: every report left out is then
-    strictly farther, so its k nearest, ties to the lower index, are among
-    the cells scored.
+    first, twice as much in each later round.  Its cells are those of the
+    index runs of each slab its time reach meets, over weighted longitudes
+    within R of its own, less itself and those outside the reach: no term
+    of a distance within R**2 exceeds R**2, so every such cell is among
+    them.  A report is done once k of its cells lie within R**2: every
+    report left out is then strictly farther, so its k nearest, ties to
+    the lower index, are among the cells scored.
     """
     k = cfg.k_neighbors
     lat_w = ds.alpha if cfg.lat_weight is None else cfg.lat_weight
+    # float64 holds every whole second up to 2**53 exactly
+    if ds.t[0] < -2**53 or ds.t[-1] > 2**53:
+        raise ValueError("npc needs every time within ±2**53 s")
     tf = cfg.time_weight * ds.t.astype(np.float64)
     # a zero-weight term adds exactly 0.0 to every distance, so it is left out
     feats = [tf] + [w * col for w, col in ((lat_w, ds.lat), (cfg.lon_weight, ds.lon),
@@ -227,23 +187,50 @@ def _nearest(ds: TrackDataset, cfg: NpcConfig):
     lon = cfg.lon_weight * ds.lon
     index = SlabIndex(ds.t, lon, _SLAB_S, _LON_BINS)
     nbr = np.empty((len(ds), k), dtype=np.int64)
-    rows = np.arange(len(ds))
-    radius = _START_RADIUS
-    rounds = scored = 0
-    while rows.size:
-        pending = []
-        for c in range(0, rows.size, _CHUNK_ROWS):
-            part = rows[c:c + _CHUNK_ROWS]
-            held, cols, cells = _round(ds.t, feats, lon, index, part, radius * radius, k)
-            scored += cells
-            done = held == k
-            nbr[part[done]] = cols[done]
-            pending.append(part[~done])
-        rounds += 1
-        rows = np.concatenate(pending)
-        radius *= 2
+
+    def chunk(rows, radius):
+        r2 = radius * radius
+        lo, hi = _time_reach(tf, rows, r2)
+        at, slab = index.slabs(ds.t[lo], ds.t[hi - 1])
+        # a longitude term within r2 puts the exact longitude offset below reach
+        reach = np.sqrt(r2) * (1 + 2.0**-40)
+        x = lon[rows[at]]
+        kept, first, stop = index.runs(slab, x - reach, x + reach)
+        at = at[kept]
+
+        def keep(run, pos):
+            a, col = at[run], index.cols[pos]
+            return (col >= lo[a]) & (col < hi[a]) & (col != rows[a])
+
+        # each row's count of cells within r2, up to k, and its nearest ones
+        held = np.zeros(rows.size, dtype=np.int64)
+        held_col = np.empty((rows.size, k), dtype=np.int64)
+        held_d2 = np.empty((rows.size, k))
+        scored = 0
+        for run, pos in gather(first, stop, _BLOCK_CELLS, keep):
+            a, col = at[run], index.cols[pos]
+            scored += col.size
+            d2 = _distances(feats, rows[a], col)
+            hit = np.flatnonzero(d2 <= r2)
+            # a row's cells are adjacent in run order, so of the rows in this
+            # batch only the first can hold cells from the batch before
+            carry = a[0]
+            c = held[carry]
+            a = np.concatenate((np.full(c, carry), a[hit]))
+            col = np.concatenate((held_col[carry, :c], col[hit]))
+            d2 = np.concatenate((held_d2[carry, :c], d2[hit]))
+            a, col, d2 = _k_nearest(a, col, d2, k)
+            slot = np.arange(a.size) - np.searchsorted(a, a)
+            held_col[a, slot], held_d2[a, slot] = col, d2
+            last = np.flatnonzero(np.diff(a, append=-1))
+            held[a[last]] = slot[last] + 1
+        done = held == k
+        nbr[rows[done]] = held_col[done]
+        return rows[~done], scored
+
+    counts = run_rounds(np.arange(len(ds)), _CHUNK_ROWS, _START_RADIUS, 2, chunk)
     nbr.sort(axis=1)
-    return nbr, (rounds, scored)
+    return nbr, counts
 
 
 def npc_grouping_targets(ds: TrackDataset, cfg: NpcConfig | None = None) -> np.ndarray:

@@ -1,11 +1,11 @@
 """What link selection and the npc neighbor search share.
 
 Both build one (time slab, longitude bin) index over all the time-sorted
-reports and search it in rounds.  Each round takes every pending row, a
-fixed number of rows at a time: per slab of time, it gathers the reports
-whose longitude falls in an interval, scores them in blocks of cells, and
-keeps each row's lowest score.  Each search decides its slabs and
-intervals itself.
+reports and search it in rounds of a growing bound (``run_rounds``).  Per
+slab of time, a row's cells are the reports whose longitude falls in an
+interval; ``gather`` drops those that the search's own test rejects and
+batches the rest for scoring.  Each search decides its slabs, intervals
+and test, what it keeps of the scores and when a row is done.
 """
 
 from __future__ import annotations
@@ -100,21 +100,54 @@ class SlabIndex:
         return kept, first[kept], stop[kept]
 
 
-def blocks(first: np.ndarray, stop: np.ndarray, size: int):
-    """Split the runs first[k]:stop[k] into blocks of at most ``size``
-    positions; yield each block's run numbers and positions, in order."""
+def run_rounds(rows: np.ndarray, chunk_rows: int, bound: float, grow: float, chunk):
+    """Search ``rows`` in rounds until none is pending: each round hands
+    every pending row to ``chunk(part, bound)``, ``chunk_rows`` rows at a
+    time, then multiplies the bound by ``grow``.  ``chunk`` returns the
+    rows of ``part`` still pending and how many cells it scored.  Returns
+    (rounds, cells scored)."""
+    count = scored = 0
+    while rows.size:
+        parts = [chunk(rows[c:c + chunk_rows], bound) for c in range(0, rows.size, chunk_rows)]
+        rows = np.concatenate([left for left, _ in parts])
+        scored += sum(cells for _, cells in parts)
+        count += 1
+        bound *= grow
+    return count, scored
+
+
+def gather(first: np.ndarray, stop: np.ndarray, size: int, keep):
+    """The cells of the runs first[k]:stop[k] that ``keep(run, pos)``
+    passes, as (run numbers, positions), in run order, in batches of at
+    most ``size`` cells; each batch is overwritten by the next.
+
+    ``keep`` gets the runs' cells a block of ``size`` at a time and returns
+    a mask over them.  A batch is yielded once the next block's kept cells
+    would not fit in it, and the last at the end; no batch is empty."""
     # laid end to end, run k takes the places starts[k]:ends[k]
     ends = np.cumsum(stop - first)
     starts = ends - (stop - first)
     shift = first - starts
     total = int(ends[-1]) if ends.size else 0
+    runs, places = np.empty((2, size), dtype=np.int64)
+    held = 0
     for p in range(0, total, size):
         q = min(p + size, total)
         k0 = int(np.searchsorted(ends, p, side="right"))
         k1 = int(np.searchsorted(ends, q, side="left")) + 1
         cut = np.minimum(ends[k0:k1], q) - np.maximum(starts[k0:k1], p)
         run = np.repeat(np.arange(k0, k1), cut)
-        yield run, np.arange(p, q) + shift[run]
+        pos = np.arange(p, q) + shift[run]
+        kept = np.flatnonzero(keep(run, pos))
+        run, pos = run[kept], pos[kept]
+        if held + run.size > size:
+            yield runs[:held], places[:held]
+            held = 0
+        runs[held:held + run.size] = run
+        places[held:held + run.size] = pos
+        held += run.size
+    if held:
+        yield runs[:held], places[:held]
 
 
 def first_minima(i: np.ndarray, score: np.ndarray, col: np.ndarray) -> np.ndarray:

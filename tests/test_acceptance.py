@@ -9,7 +9,6 @@ behavior change, not noise.
 import math
 import time
 from dataclasses import replace
-from statistics import median
 
 import numpy as np
 import pytest
@@ -272,12 +271,14 @@ def test_08_near_linear_scaling(s1):
             start = time.perf_counter()
             run_cbtr(ds, CFG)
             took.append(time.perf_counter() - start)
-    medians = [median(took) for took in times]
-    r1 = medians[1] / medians[0]
-    r2 = medians[2] / medians[1]
-    ok = r1 <= 2.6 and r2 <= 2.6 and medians[2] < 10.0
+    # a stall only adds time, so each size's fastest run tracks the code
+    # and not the machine
+    fastest = [min(took) for took in times]
+    r1 = fastest[1] / fastest[0]
+    r2 = fastest[2] / fastest[1]
+    ok = r1 <= 2.6 and r2 <= 2.6 and fastest[2] < 10.0
     _verdict(8, "near-linear scaling", ok,
-             f"medians {medians[0]:.2f}/{medians[1]:.2f}/{medians[2]:.2f} s "
+             f"minima {fastest[0]:.2f}/{fastest[1]:.2f}/{fastest[2]:.2f} s "
              f"for {sizes[0]}/{sizes[1]}/{sizes[2]} points, "
              f"ratios {r1:.2f}, {r2:.2f}")
 

@@ -414,6 +414,39 @@ def test_cluster_links_reports_near_the_end_of_int64_time(tmp_path):
     assert [row["cluster"] for row in rows] == ["0", "1", "1"]
 
 
+def _npc_probe(path, first):
+    """A report at ``first``, then five 2**62 - 5000 s on: reports 1-3 and 4-5
+    are two tracks 1,000 s apart."""
+    late = 2**62 - 5000
+    path.write_text("timestamp,lat,lon,sog,cog\n" + "".join(
+        f"{t},{lat},{lon},10,0\n" for t, lat, lon in
+        [(first, 36.95, -76.2)] + [(late + dt, lat, -76.0) for dt, lat in
+                                   ((0, 37.0), (30, 37.0013), (60, 37.0026),
+                                    (1000, 37.0), (1030, 37.0013))]))
+
+
+@pytest.mark.parametrize("first, clusters", [
+    pytest.param(-4611686018427387903, None, id="last-near-2**63"),
+    pytest.param(2**62 - 5000 + 1030 - 2**53 - 1, None, id="last-at-2**53+1"),
+    pytest.param(2**62 - 5000 + 1030 - 2**53, "000011", id="last-at-2**53"),
+    pytest.param(2**62 - 100_000, "000011", id="ordinary"),
+])
+def test_npc_rejects_times_whose_float_is_inexact(tmp_path, capsys, first, clusters):
+    # rebased to the earliest report; past 2**53 s the float time feature
+    # put reports 1 and 4, 1,000 s apart, in one cluster
+    _npc_probe(tmp_path / "late.csv", first)
+    out = tmp_path / "run"
+    code = main(["cluster", str(tmp_path / "late.csv"), "--algo", "npc", "--k-neighbors", "1",
+                 "--out", str(out)])
+    if clusters is None:
+        assert code == 1 and not out.exists()
+        assert "2**53" in capsys.readouterr().err
+    else:
+        assert code == 0
+        rows = csv.DictReader((out / "assignment.csv").open())
+        assert "".join(row["cluster"] for row in rows) == clusters
+
+
 def test_downsample_flow(fleet_csv, tmp_path, capsys):
     out = tmp_path / "thin.csv"
     assert main(["downsample", str(fleet_csv), "--pattern", "every-2nd",
