@@ -20,7 +20,8 @@ from .search import SlabIndex, first_minima, gather, run_rounds
 
 @dataclass(frozen=True)
 class AbnormalReport:
-    """Outcome of the end-of-track screening.
+    """Outcome of the end-of-track screening: read-only int64 arrays of
+    report indices, ascending except ``worst_n``.
 
     ``worst_n`` lists the highest normalized-error links, worst first.
     ``rescued_turns`` are the subset kept because they look like genuine
@@ -28,10 +29,14 @@ class AbnormalReport:
     plus every point that never found a next report.
     """
 
-    no_bpnp: frozenset[int]
-    worst_n: tuple[int, ...]
-    rescued_turns: frozenset[int]
-    abnormal: frozenset[int]
+    no_bpnp: np.ndarray
+    worst_n: np.ndarray
+    rescued_turns: np.ndarray
+    abnormal: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.no_bpnp, self.worst_n, self.rescued_turns, self.abnormal):
+            arr.setflags(write=False)
 
 
 class CbtrResult(NamedTuple):
@@ -340,7 +345,7 @@ def detect_abnormal(ds: TrackDataset, links: LinkSet,
     """
     cfg = cfg or CbtrConfig()
     targets = links.targets
-    no_bpnp = frozenset(np.nonzero(targets < 0)[0].tolist())
+    no_bpnp = np.flatnonzero(targets < 0)
     linked = np.flatnonzero(targets >= 0)
     dt = (ds.t[targets[linked]] - ds.t[linked]).astype(np.float64)
     normalized = links.errors[linked] / (dt * dt)
@@ -352,9 +357,8 @@ def detect_abnormal(ds: TrackDataset, links: LinkSet,
                           < cfg.turn_rescue_dist_m)
     turns = worst[judged]
     bend = turning_cos(ds, turns, z2[judged], z3[judged], cfg.angle_time_weight)
-    rescued = frozenset(turns[bend >= cfg.turn_rescue_cos_min].tolist())
-    worst = tuple(worst.tolist())
-    abnormal = (frozenset(worst) - rescued) | no_bpnp
+    rescued = np.sort(turns[bend >= cfg.turn_rescue_cos_min])
+    abnormal = np.union1d(np.setdiff1d(worst, rescued), no_bpnp)
     return AbnormalReport(no_bpnp=no_bpnp, worst_n=worst, rescued_turns=rescued,
                           abnormal=abnormal)
 
@@ -362,7 +366,7 @@ def detect_abnormal(ds: TrackDataset, links: LinkSet,
 def surviving_targets(links: LinkSet, report: AbnormalReport) -> np.ndarray:
     """Link targets with severed points cleared to -1."""
     targets = links.targets.copy()
-    targets[np.fromiter(report.abnormal, dtype=np.int64)] = -1
+    targets[report.abnormal] = -1
     return targets
 
 
@@ -371,7 +375,7 @@ def assemble_clusters(links: LinkSet, report: AbnormalReport) -> ClusterAssignme
     # every report without a link is flagged; the other flagged ones are severed
     return ClusterAssignment(cluster_of=components_of(surviving_targets(links, report)),
                              endpoints=report.abnormal,
-                             abnormal=report.abnormal - report.no_bpnp)
+                             abnormal=np.setdiff1d(report.abnormal, report.no_bpnp))
 
 
 def components_of(targets: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .cbtr import run_cbtr, surviving_targets
 from .export import export_geojson, export_label_timeline
 from .ingest import IngestError, csv_rows, parse_ais_csv, write_ais_csv
 from .metrics import EvalReport, build_report, successor_targets
-from .model import CbtrConfig, ClusterAssignment, TrackDataset, index_mask
+from .model import CbtrConfig, ClusterAssignment, TrackDataset
 from .npc import NpcConfig, npc_classify, npc_cluster, npc_grouping_targets
 from .synth import (
     ARCHETYPES,
@@ -126,9 +126,10 @@ def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment) -> Iterator
     """The header, then the rows a block at a time: one row per report, lat
     and lon as ``repr`` writes them."""
     n = len(ds)
-    flags = (index_mask(n, assignment.endpoints), index_mask(n, assignment.abnormal))
-    columns = [np.arange(n), ds.t, ds.lat, ds.lon, assignment.cluster_of,
-               *(f.view(np.uint8) for f in flags)]
+    flags = np.zeros((2, n), dtype=np.uint8)
+    flags[0, assignment.endpoints] = 1
+    flags[1, assignment.abnormal] = 1
+    columns = [np.arange(n), ds.t, ds.lat, ds.lon, assignment.cluster_of, *flags]
     yield (_ASSIGNMENT_HEADER + "\n").encode()
     for block in csv_rows(columns):
         yield block.encode()
@@ -148,11 +149,22 @@ def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
         raise _first_assignment_error(path, lines, exc) from None
     index, t, cluster, endpoint, abnormal = (
         np.ascontiguousarray(table[name]) for name in _ASSIGNMENT_INTS)
+    # rows run in index order and flag with 0 or 1; loadtxt skipped the
+    # blank lines, so row r is on the r-th non-blank line
+    wrong = {"index": index != np.arange(len(index)),
+             "endpoint": (endpoint != 0) & (endpoint != 1),
+             "abnormal": (abnormal != 0) & (abnormal != 1)}
+    bad = np.logical_or.reduce(list(wrong.values()))
+    if bad.any():
+        row = int(bad.argmax())
+        name = next(name for name, column in wrong.items() if column[row])
+        line_no = [k for k, line in enumerate(lines[1:], start=2) if line][row]
+        expected = row if name == "index" else "0 or 1"
+        raise IngestError(f"{path} line {line_no}: {name} {table[name][row]}, expected {expected}")
     # any distinct integers name the clusters; number them 0..k-1
     _, cluster = np.unique(cluster, return_inverse=True)
-    assignment = ClusterAssignment(cluster_of=cluster,
-                                   endpoints=frozenset(index[endpoint != 0].tolist()),
-                                   abnormal=frozenset(index[abnormal != 0].tolist()))
+    assignment = ClusterAssignment(cluster_of=cluster, endpoints=np.flatnonzero(endpoint),
+                                   abnormal=np.flatnonzero(abnormal))
     return t, assignment
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import orjson
 
 from .ingest import fixed_notation
-from .model import ClusterAssignment, TrackDataset, index_mask, label_codes, label_groups
+from .model import ClusterAssignment, TrackDataset, label_codes, label_groups
 
 
 # a string that nothing else in a document holds; orjson writes it "\u0000"
@@ -38,8 +38,9 @@ def export_geojson(ds: TrackDataset, assignment: ClusterAssignment) -> bytes:
         raise ValueError("dataset and assignment must align")
     order, bounds = label_groups(assignment.cluster_of, assignment.n_clusters)
     points = np.column_stack((ds.lon[order], ds.lat[order]))
-    ends = order[index_mask(len(ds), assignment.endpoints)[order]]
-    _, end_bounds = label_groups(assignment.cluster_of[ends], assignment.n_clusters)
+    end_order, end_bounds = label_groups(assignment.cluster_of[assignment.endpoints],
+                                         assignment.n_clusters)
+    ends = assignment.endpoints[end_order]
     features = []
     for cid in range(assignment.n_clusters):
         a, b = bounds[cid], bounds[cid + 1]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,13 +85,6 @@ def label_codes(labels: Sequence) -> tuple[list, np.ndarray]:
     position = {label: k for k, label in enumerate(distinct)}
     return distinct, np.fromiter(map(position.__getitem__, labels), dtype=np.int64,
                                  count=len(labels))
-
-
-def index_mask(n: int, indices: Iterable[int]) -> np.ndarray:
-    """Boolean array of length n, True at the given indices."""
-    mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(indices, dtype=np.int64)] = True
-    return mask
 
 
 def first_bad_report(lat: np.ndarray, lon: np.ndarray, sog: np.ndarray,
@@ -266,15 +259,17 @@ class ClusterAssignment:
     """Cluster label per point plus the points flagged as chain ends.
 
     ``abnormal`` holds the points whose outgoing link was severed;
-    ``endpoints`` additionally includes points that never had a link.
+    ``endpoints`` additionally includes points that never had a link.  Both
+    are ascending int64 arrays of report indices; all three are read-only.
     """
 
     cluster_of: np.ndarray
-    endpoints: frozenset[int]
-    abnormal: frozenset[int]
+    endpoints: np.ndarray
+    abnormal: np.ndarray
 
     def __post_init__(self):
-        self.cluster_of.setflags(write=False)
+        for arr in (self.cluster_of, self.endpoints, self.abnormal):
+            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.cluster_of.shape[0])

@@ -273,4 +273,4 @@ def npc_cluster(targets: np.ndarray) -> ClusterAssignment:
     """Cluster reports by their grouping targets (from npc_grouping_targets),
     labels ordered by earliest member."""
     return ClusterAssignment(cluster_of=components_of(targets),
-                             endpoints=frozenset(), abnormal=frozenset())
+                             endpoints=np.empty(0, np.int64), abnormal=np.empty(0, np.int64))

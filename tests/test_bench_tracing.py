@@ -18,6 +18,7 @@ from trackstitch.ingest import write_ais_csv
 from trackstitch.synth import generate_fleet
 
 from conftest import small_mixed_config
+from test_acceptance import S1_NO_LINK, S1_RESCUED, S1_SEVERED_TOTAL
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import harness  # noqa: E402
@@ -37,6 +38,18 @@ def test_npc_cluster_groups_once(tmp_path, capsys):
         assert cli.main(["cluster", str(fleet), "--algo", "npc",
                          "--out", str(tmp_path / "out")]) == 0
     assert [s.name for s in tracer.spans].count("npc.grouping") == 1
+
+
+def test_stage_counts_read_the_flagged_reports(tmp_path, s1):
+    # the counters take len() of the flag fields, so those must hold indices
+    fleet = tmp_path / "s1.csv"
+    write_ais_csv(s1, fleet)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert cli.main(["cluster", str(fleet), "--out", str(tmp_path / "out")]) == 0
+    counts = {s.name: s.counts for s in tracer.spans}
+    assert counts["cbtr.detect_abnormal"] == {"rescued": S1_RESCUED}
+    assert counts["cbtr.assemble_clusters"] == {"severed": S1_SEVERED_TOTAL - S1_NO_LINK}
 
 
 def test_parser_takes_the_benchmark_cluster_arguments():

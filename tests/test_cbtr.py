@@ -17,6 +17,7 @@ from trackstitch.cbtr import (
 )
 from trackstitch.kinematics import DEG_LAT_PER_KNOT_S
 from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
+from trackstitch.npc import npc_cluster, npc_grouping_targets
 from trackstitch.search import SlabIndex
 from trackstitch.synth import SynthConfig, generate_fleet
 
@@ -364,8 +365,9 @@ def test_full_pipeline_matches_reference(seed):
     assert got_targets == [x[0] if x else None for x in ref_links]
     worst = reference.worst_ranked(pts, ref_links, CFG)
     assert list(report.worst_n) == worst
-    assert report.rescued_turns == reference.rescue_set(pts, ref_links, worst, ds.alpha, CFG)
-    assert set(report.abnormal) == ref_abnormal
+    rescued = reference.rescue_set(pts, ref_links, worst, ds.alpha, CFG)
+    assert report.rescued_turns.tolist() == sorted(rescued)
+    assert report.abnormal.tolist() == sorted(ref_abnormal)
     assert list(assignment.cluster_of) == ref_labels
 
 
@@ -387,12 +389,12 @@ def test_detect_abnormal_rescues_shallow_bends_only():
     links = build_links(ds, cfg)
     assert list(links.targets) == [1, 2, 3, -1]
     report = detect_abnormal(ds, links, cfg)
-    assert report.no_bpnp == frozenset({3})
-    assert set(report.worst_n) == {0, 1, 2}
+    assert report.no_bpnp.tolist() == [3]
+    assert set(report.worst_n.tolist()) == {0, 1, 2}
     # A continues straight through B, so it is kept; B bends 90 degrees at C
     # and is severed; C's target has no onward link to judge a bend by.
-    assert report.rescued_turns == frozenset({0})
-    assert report.abnormal == frozenset({1, 2, 3})
+    assert report.rescued_turns.tolist() == [0]
+    assert report.abnormal.tolist() == [1, 2, 3]
 
 
 def test_detect_abnormal_needs_a_continuation():
@@ -408,9 +410,9 @@ def test_detect_abnormal_needs_a_continuation():
     links = build_links(ds, CFG)
     assert list(links.targets) == [1, -1, -1]
     report = detect_abnormal(ds, links, CFG)
-    assert report.worst_n == (0,)
-    assert report.rescued_turns == frozenset()
-    assert report.abnormal == frozenset({0, 1, 2})
+    assert report.worst_n.tolist() == [0]
+    assert report.rescued_turns.tolist() == []
+    assert report.abnormal.tolist() == [0, 1, 2]
 
 
 def test_assemble_clusters_after_severing():
@@ -419,8 +421,8 @@ def test_assemble_clusters_after_severing():
     assignment, links, report = run_cbtr(ds, cfg)
     assert list(assignment.cluster_of) == [0, 0, 1, 2]
     assert assignment.n_clusters == 3
-    assert assignment.endpoints == frozenset({1, 2, 3})
-    assert assignment.abnormal == frozenset({1, 2})
+    assert assignment.endpoints.tolist() == [1, 2, 3]
+    assert assignment.abnormal.tolist() == [1, 2]
     survivors = surviving_targets(links, report)
     assert list(survivors) == [1, -1, -1, -1]
 
@@ -430,9 +432,9 @@ def test_detect_abnormal_zero_budget_keeps_all_links():
     cfg = CbtrConfig(n_abnormal=0)
     links = build_links(ds, cfg)
     report = detect_abnormal(ds, links, cfg)
-    assert report.worst_n == ()
-    assert report.rescued_turns == frozenset()
-    assert report.abnormal == report.no_bpnp == frozenset({3})
+    assert report.worst_n.tolist() == []
+    assert report.rescued_turns.tolist() == []
+    assert report.abnormal.tolist() == report.no_bpnp.tolist() == [3]
 
 
 def test_worst_n_budget_respected():
@@ -512,6 +514,20 @@ def test_result_tuple_unpacks(s1_cbtr):
     assert s1_cbtr.report is report
 
 
+def test_flags_are_read_only_index_arrays(s1, s1_cbtr):
+    assignment, _, report = s1_cbtr
+    npc = npc_cluster(npc_grouping_targets(s1))
+    ascending = [report.no_bpnp, report.rescued_turns, report.abnormal, assignment.endpoints,
+                 assignment.abnormal, npc.endpoints, npc.abnormal]
+    for flags in [report.worst_n, *ascending]:
+        assert flags.dtype == np.int64
+        assert not flags.flags.writeable
+    for flags in ascending:
+        assert np.all(np.diff(flags) > 0)
+    # s1 flags some of each
+    assert min(map(len, ascending[:5])) > 0
+
+
 def test_input_order_does_not_matter():
     ds = _dataset(51, n_vessels=3, duration_s=900)
     seen = set()
@@ -529,7 +545,7 @@ def test_input_order_does_not_matter():
     b = run_cbtr(reordered, CFG)
     assert np.array_equal(a.links.targets, b.links.targets)
     assert np.array_equal(a.assignment.cluster_of, b.assignment.cluster_of)
-    assert a.report.abnormal == b.report.abnormal
+    assert np.array_equal(a.report.abnormal, b.report.abnormal)
 
 
 def _north_sog(step):

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from trackstitch import cli, ingest
 from trackstitch.cli import main
 from trackstitch.ingest import parse_ais_csv, write_ais_csv
-from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
+from trackstitch.model import AisPoint, CbtrConfig, ClusterAssignment, TrackDataset
 from trackstitch.npc import NpcConfig
 from trackstitch.synth import generate_fleet, scenario_s1
 
@@ -114,6 +115,12 @@ EVAL_REJECTED = [
     pytest.param(ASSIGNMENT_HEAD + ROW + "1,\u0661\u0662,1.0,2.0,0,0,0\n",
                  ": unreadable assignment: could not convert string '\u0661\u0662' to"
                  " int64 at row 1, column 2.", id="non-ascii-digits"),
+    pytest.param(ASSIGNMENT_HEAD + "1,0,1.0,2.0,0,0,0\n0,0,1.0,2.0,1,0,0\n",
+                 " line 2: index 1, expected 0", id="swapped-rows"),
+    pytest.param(ASSIGNMENT_HEAD + ROW + "\n99,5,1.0,2.0,0,0,0\n",
+                 " line 4: index 99, expected 1", id="index-out-of-range-after-blank"),
+    pytest.param(ASSIGNMENT_HEAD + ROW + "1,5,1.0,2.0,0,1,7\n",
+                 " line 3: abnormal 7, expected 0 or 1", id="flag-7"),
 ]
 
 
@@ -148,6 +155,29 @@ def test_eval_reads_assignment_variants(fleet_csv, tmp_path, capsys, variant):
         assert main(["eval", str(path), str(fleet_csv), "--format", "csv"]) == 0
         reports.append(capsys.readouterr().out.rsplit(",", 1)[0])  # all but runtime_s
     assert reports[0] == reports[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.booleans()), min_size=1,
+                max_size=20))
+def test_assignment_round_trips_through_its_csv(tmp_path_factory, reports):
+    # endpoints include every abnormal report, as both algorithms' do
+    n = len(reports)
+    ds = TrackDataset(t=np.arange(n) * 10, lat=np.full(n, 37.0), lon=np.full(n, -76.0),
+                      sog=np.zeros(n), cog=np.zeros(n), vids=None, alpha=1.0)
+    _, cluster_of = np.unique([label for label, _, _ in reports], return_inverse=True)
+    endpoints = [i for i, (_, end, severed) in enumerate(reports) if end or severed]
+    abnormal = [i for i, (_, _, severed) in enumerate(reports) if severed]
+    assignment = ClusterAssignment(cluster_of=cluster_of,
+                                   endpoints=np.array(endpoints, dtype=np.int64),
+                                   abnormal=np.array(abnormal, dtype=np.int64))
+    path = tmp_path_factory.getbasetemp() / "round-trip.csv"
+    path.write_bytes(b"".join(cli._assignment_csv(ds, assignment)))
+    t, read = cli._read_assignment(str(path))
+    assert t.tolist() == ds.t.tolist()
+    assert read.cluster_of.tolist() == cluster_of.tolist()
+    assert read.endpoints.tolist() == endpoints
+    assert read.abnormal.tolist() == abnormal
 
 
 @pytest.mark.parametrize("labels", [(0, 7), (0, -1), (7, 0)])

@@ -19,8 +19,8 @@ def _toy():
     ds = TrackDataset.from_points(pts)
     # sorted by t: a(0), b(30), a(60); clusters pair the two a reports
     assignment = ClusterAssignment(cluster_of=np.array([0, 1, 0]),
-                                   endpoints=frozenset({2}),
-                                   abnormal=frozenset())
+                                   endpoints=np.array([2], dtype=np.int64),
+                                   abnormal=np.empty(0, dtype=np.int64))
     return ds, assignment
 
 
@@ -49,7 +49,8 @@ def test_geojson_singleton_repeats_coordinate():
 def test_geojson_alignment_check():
     ds, assignment = _toy()
     short = ClusterAssignment(cluster_of=np.array([0, 0]),
-                              endpoints=frozenset(), abnormal=frozenset())
+                              endpoints=np.empty(0, dtype=np.int64),
+                              abnormal=np.empty(0, dtype=np.int64))
     with pytest.raises(ValueError):
         export_geojson(ds, short)
 
@@ -75,7 +76,8 @@ def test_timeline_without_truth_shows_clusters_only():
     pts = [AisPoint(t, 37.0, -76.0, 1.0, 0.0) for t in (0, 30)]
     ds = TrackDataset.from_points(pts)
     assignment = ClusterAssignment(cluster_of=np.array([0, 0]),
-                                   endpoints=frozenset(), abnormal=frozenset())
+                                   endpoints=np.empty(0, dtype=np.int64),
+                                   abnormal=np.empty(0, dtype=np.int64))
     svg = export_label_timeline(ds, assignment)
     assert svg.count('stroke="#d62728"') == 1
     assert svg.count('stroke="#1f77b4"') == 0
@@ -86,7 +88,8 @@ def test_timeline_escapes_markup_in_labels():
            AisPoint(60, 37.0, -75.99, 5.0, 90.0, vid="A&<B>")]
     ds = TrackDataset.from_points(pts)
     assignment = ClusterAssignment(cluster_of=np.array([0, 0]),
-                                   endpoints=frozenset(), abnormal=frozenset())
+                                   endpoints=np.empty(0, dtype=np.int64),
+                                   abnormal=np.empty(0, dtype=np.int64))
     doc = minidom.parseString(export_label_timeline(ds, assignment))
     texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
     assert "A&<B>" in texts
@@ -116,7 +119,8 @@ def _fleet(lat, lon, cluster_of, endpoints):
                       lon=np.array(lon, dtype=float), sog=np.zeros(n), cog=np.zeros(n),
                       vids=None, alpha=1.0)
     return ds, ClusterAssignment(cluster_of=np.array(cluster_of, dtype=np.int64),
-                                 endpoints=frozenset(endpoints), abnormal=frozenset())
+                                 endpoints=np.array(sorted(endpoints), dtype=np.int64),
+                                 abnormal=np.empty(0, dtype=np.int64))
 
 
 # cluster 1 has no reports and cluster 2 has one
@@ -202,7 +206,8 @@ def test_timeline_rows_span_each_label(reports):
                       vids=tuple(vid for _, vid, _ in reports), alpha=1.0)
     assignment = ClusterAssignment(
         cluster_of=np.array([cluster_ids.index(cid) for _, _, cid in reports], dtype=np.int64),
-        endpoints=frozenset(), abnormal=frozenset())
+        endpoints=np.empty(0, dtype=np.int64),
+        abnormal=np.empty(0, dtype=np.int64))
     svg = export_label_timeline(ds, assignment).splitlines()
     t_max = max(max(t for t, _, _ in reports), 1)
     spans = {}

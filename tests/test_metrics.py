@@ -15,7 +15,8 @@ from trackstitch.model import ClusterAssignment
 
 def _assignment(labels):
     return ClusterAssignment(cluster_of=np.array(labels, dtype=np.int64),
-                             endpoints=frozenset(), abnormal=frozenset())
+                             endpoints=np.empty(0, dtype=np.int64),
+                             abnormal=np.empty(0, dtype=np.int64))
 
 
 def test_rate_counts_only_linked_points():

@@ -225,7 +225,7 @@ def test_link_set_accessors():
 
 def test_cluster_assignment_counts():
     assignment = ClusterAssignment(cluster_of=np.array([0, 1, 1, 2]),
-                                   endpoints=frozenset({3}),
-                                   abnormal=frozenset())
+                                   endpoints=np.array([3], dtype=np.int64),
+                                   abnormal=np.empty(0, dtype=np.int64))
     assert len(assignment) == 4
     assert assignment.n_clusters == 3

@@ -211,7 +211,7 @@ def test_grouping_separates_distant_vessels():
     # reports interleave in time as a, b, a, b, ...
     assert list(assignment.cluster_of) == [0, 1, 0, 1, 0, 1]
     assert assignment.n_clusters == 2
-    assert assignment.endpoints == frozenset()
+    assert assignment.endpoints.tolist() == []
 
 
 def test_grouping_requires_enough_points():
