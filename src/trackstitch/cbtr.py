@@ -59,17 +59,11 @@ _START_BOUND = 2.5e-7
 
 
 class _Workspace:
-    """Per-report arrays of one build_links call, and the cell buffers that
-    _score_block reuses for every block.
+    """The per-report arrays that one build_links call reads: the dataset's
+    columns, each report's velocity and whether it is slow, and the moving
+    time term of every whole dt a window can hold."""
 
-    The kernel's arithmetic then allocates nothing block-sized, so the pages
-    of its temporaries are faulted in once per call instead of once per
-    block (they took 35-40% of the kernel's time), and a call holds one
-    block's worth of memory.
-    """
-
-    __slots__ = ("cfg", "t", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt",
-                 "floats", "flags")
+    __slots__ = ("cfg", "t", "lat", "lon", "sog", "vn", "ve", "alpha", "slow", "tt")
 
     def __init__(self, ds: TrackDataset, cfg: CbtrConfig):
         self.cfg = cfg
@@ -82,10 +76,7 @@ class _Workspace:
         # the kernel's moving time term of dt = 1, 2, ... up to the widest
         # gap a window can hold, computed with the kernel's own operations
         span = min(cfg.window_s, int(ds.t[-1] - ds.t[0]))
-        self.tt = np.multiply(cfg.time_weight_moving, np.arange(1.0, span + 1))
-        self.tt *= self.tt
-        self.floats = np.empty((19, _BLOCK_CELLS))
-        self.flags = np.empty((3, _BLOCK_CELLS), dtype=bool)
+        self.tt = np.square(cfg.time_weight_moving * np.arange(1.0, span + 1))
 
 
 def _window_bounds(t: np.ndarray, at, window_s: int):
@@ -117,104 +108,44 @@ def _score_block(ws: _Workspace, rows: np.ndarray, cols: np.ndarray):
     """
     cfg = ws.cfg
     alpha = ws.alpha
-    # each result goes into a buffer whose previous content is no longer read
-    cells = len(rows)
-    f = list(ws.floats[:, :cells])
-    moving, keep, low = ws.flags[:, :cells]
-
-    def take(values, at, k):
-        return np.take(values, at, out=f[k], mode="clip")
-
-    lat_i, lon_i = take(ws.lat, rows, 0), take(ws.lon, rows, 1)
-    lat_j, lon_j = take(ws.lat, cols, 2), take(ws.lon, cols, 3)
+    lat_i, lon_i = ws.lat[rows], ws.lon[rows]
+    lat_j, lon_j = ws.lat[cols], ws.lon[cols]
     # the time gap is an exact integer before it becomes a float
-    t_j = np.take(ws.t, cols, out=f[4].view(np.int64), mode="clip")
-    t_i = np.take(ws.t, rows, out=f[5].view(np.int64), mode="clip")
-    dt = np.subtract(t_j, t_i, out=f[4])
-    speed_sum = take(ws.sog, rows, 5)
-    speed_sum += take(ws.sog, cols, 6)
-    np.greater(speed_sum, cfg.moving_speed_sum, out=moving)
+    dt = (ws.t[cols] - ws.t[rows]).astype(np.float64)
+    moving = ws.sog[rows] + ws.sog[cols] > cfg.moving_speed_sum
 
     # direction of the pair in scaled space-time
-    dlat = np.subtract(lat_j, lat_i, out=f[6])
-    dlon = np.subtract(lon_j, lon_i, out=f[7])
-    vtau = np.multiply(cfg.angle_time_weight, dt, out=f[8])
-    vv = np.multiply(vtau, vtau, out=f[9])
-    vlat = np.multiply(alpha, dlat, out=f[10])
-    vnorm = np.multiply(vlat, vlat, out=f[11])
-    np.add(vv, vnorm, out=vnorm)
-    vnorm += np.multiply(dlon, dlon, out=f[12])
-    np.sqrt(vnorm, out=vnorm)
+    dlat = lat_j - lat_i
+    dlon = lon_j - lon_i
+    vtau = cfg.angle_time_weight * dt
+    vv = vtau * vtau
+    vlat = alpha * dlat
+    vnorm = np.sqrt(vv + vlat * vlat + dlon * dlon)
 
-    # slow pairs: raw displacement, gated by closeness to the time axis;
-    # only the cells that pair as steady are evaluated, packed into f[14:19]
-    np.logical_not(moving, out=keep)
-    steady = np.count_nonzero(keep)
-    if steady:
-        ts, lat2, lon2, cos_steady, norm = (np.compress(keep, x, out=f[k][:steady])
-                                            for k, x in enumerate((dt, dlat, dlon, vtau, vnorm),
-                                                                  14))
-        ts *= cfg.time_weight_steady
-        d0 = np.multiply(ts, ts, out=ts)
-        lat2 *= lat2
-        lat2 *= alpha * alpha
-        d0 += lat2
-        lon2 *= lon2
-        d0 += lon2
-        cos_steady /= norm
-        gated = np.greater_equal(cos_steady, cfg.cos_steady_min, out=low[:steady])
-        np.putmask(d0, np.logical_not(gated, out=gated), np.inf)
+    # slow pairs: raw displacement, gated by closeness to the time axis
+    ts = cfg.time_weight_steady * dt
+    steady = np.where(vtau / vnorm >= cfg.cos_steady_min,
+                      ts * ts + dlat * dlat * (alpha * alpha) + dlon * dlon, np.inf)
 
     # fast pairs: heading agreement of i's dead-reckoned step with the pair
-    plat = take(ws.vn, rows, 5)
-    plat *= dt
-    plat += lat_i
-    plon = take(ws.ve, rows, 6)
-    plon *= dt
-    plon += lon_i
-    ulat = np.subtract(plat, lat_i, out=f[8])
-    ulat *= alpha
-    ulon = np.subtract(plon, lon_i, out=f[12])
-    dot = np.multiply(ulat, vlat, out=f[10])
-    np.add(vv, dot, out=dot)
-    dot += np.multiply(ulon, dlon, out=f[13])
-    unorm = np.multiply(ulat, ulat, out=f[8])
-    np.add(vv, unorm, out=unorm)
-    unorm += np.multiply(ulon, ulon, out=f[13])
-    np.sqrt(unorm, out=unorm)
-    unorm *= vnorm
-    cos_moving = np.divide(dot, unorm, out=dot)
-    np.greater(cos_moving, cfg.cos_moving_min, out=keep)
-    keep &= moving
+    plat = ws.vn[rows] * dt + lat_i
+    plon = ws.ve[rows] * dt + lon_i
+    ulat = (plat - lat_i) * alpha
+    ulon = plon - lon_i
+    dot = vv + ulat * vlat + ulon * dlon
+    unorm = np.sqrt(vv + ulat * ulat + ulon * ulon) * vnorm
+    moving_ok = dot / unorm > cfg.cos_moving_min
 
     # two-sided dead-reckoning error: i forward to j's time, j back to i's
-    fl = np.subtract(plat, lat_j, out=plat)
-    fl *= alpha
-    fo = np.subtract(plon, lon_j, out=plon)
-    tt = np.multiply(cfg.time_weight_moving, dt, out=f[7])
-    tt *= tt
-    forward = np.multiply(fl, fl, out=fl)
-    np.add(tt, forward, out=forward)
-    forward += np.multiply(fo, fo, out=fo)
-    bl = take(ws.vn, cols, 8)
-    bl *= dt
-    np.subtract(lat_j, bl, out=bl)
-    bl -= lat_i
-    bl *= alpha
-    bo = take(ws.ve, cols, 9)
-    bo *= dt
-    np.subtract(lon_j, bo, out=bo)
-    bo -= lon_i
-    backward = np.multiply(bl, bl, out=bl)
-    np.add(tt, backward, out=backward)
-    backward += np.multiply(bo, bo, out=bo)
-    score = np.add(forward, backward, out=forward)
-    score *= 0.5
+    fl = (plat - lat_j) * alpha
+    fo = plon - lon_j
+    tt = np.square(cfg.time_weight_moving * dt)
+    forward = tt + fl * fl + fo * fo
+    bl = (lat_j - ws.vn[cols] * dt - lat_i) * alpha
+    bo = lon_j - ws.ve[cols] * dt - lon_i
+    backward = tt + bl * bl + bo * bo
 
-    np.logical_not(keep, out=keep)
-    np.putmask(score, keep, np.inf)
-    if steady:
-        np.place(score, np.logical_not(moving, out=keep), d0)
+    score = np.where(moving, np.where(moving_ok, (forward + backward) * 0.5, np.inf), steady)
     hit = np.flatnonzero(score < np.inf)
     if not hit.size:
         return rows[:0], cols[:0], score[:0], np.zeros(0, dtype=np.int8)

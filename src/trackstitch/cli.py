@@ -250,28 +250,39 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+# the flags that describe a custom fleet, which a --scenario fleet fixes
+_FLEET_FLAGS = ("n_vessels", "duration_s", "noise_sigma_m", "drift_radius_m", "interval_min_s",
+                "interval_max_s", "gaps_per_vessel", "gap_min_s", "gap_max_s", "archetypes")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.scenario == "s1":
-        cfg = scenario_s1(args.seed) if args.seed is not None else scenario_s1()
-    elif args.scenario == "s1-gaps":
-        cfg = scenario_s1_gaps(args.seed) if args.seed is not None else scenario_s1_gaps()
+    given = {name: getattr(args, name) for name in _FLEET_FLAGS if getattr(args, name) is not None}
+    if args.scenario is not None:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"{flags} cannot be combined with --scenario")
+        make = scenario_s1 if args.scenario == "s1" else scenario_s1_gaps
+        cfg = make() if args.seed is None else make(args.seed)
     else:
         if args.n_vessels is None:
             raise ValueError("--n-vessels is required without --scenario")
+        base = SynthConfig(args.n_vessels)
         archetypes = None
         if args.archetypes:
             wanted = tuple(a.strip() for a in args.archetypes.split(","))
             archetypes = tuple(wanted[i % len(wanted)] for i in range(args.n_vessels))
-        cfg = SynthConfig(
-            n_vessels=args.n_vessels,
-            duration_s=args.duration_s,
+        cfg = replace(
+            base,
+            duration_s=given.get("duration_s", base.duration_s),
             archetypes=archetypes,
-            sample_interval_s=(args.interval_min_s, args.interval_max_s),
-            noise_sigma_m=args.noise_sigma_m,
-            drift_radius_m=args.drift_radius_m,
-            gaps_per_vessel=args.gaps_per_vessel,
-            gap_duration_s=(args.gap_min_s, args.gap_max_s),
-            seed=args.seed if args.seed is not None else 0,
+            sample_interval_s=(given.get("interval_min_s", base.sample_interval_s[0]),
+                               given.get("interval_max_s", base.sample_interval_s[1])),
+            noise_sigma_m=given.get("noise_sigma_m", base.noise_sigma_m),
+            drift_radius_m=given.get("drift_radius_m", base.drift_radius_m),
+            gaps_per_vessel=given.get("gaps_per_vessel", base.gaps_per_vessel),
+            gap_duration_s=(given.get("gap_min_s", base.gap_duration_s[0]),
+                            given.get("gap_max_s", base.gap_duration_s[1])),
+            seed=base.seed if args.seed is None else args.seed,
         )
     ds = generate_fleet(cfg)
     write_ais_csv(ds, args.out)
@@ -334,16 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a labeled synthetic fleet")
     p_synth.add_argument("--scenario", choices=("s1", "s1-gaps"),
                          help="use a canned benchmark fleet")
+    # unset fleet flags take SynthConfig's defaults
     p_synth.add_argument("--n-vessels", type=int)
-    p_synth.add_argument("--duration-s", type=int, default=SynthConfig(1).duration_s)
+    p_synth.add_argument("--duration-s", type=int)
     p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--noise-sigma-m", type=float, default=0.0)
-    p_synth.add_argument("--drift-radius-m", type=float, default=SynthConfig(1).drift_radius_m)
-    p_synth.add_argument("--interval-min-s", type=int, default=2)
-    p_synth.add_argument("--interval-max-s", type=int, default=180)
-    p_synth.add_argument("--gaps-per-vessel", type=int, default=0)
-    p_synth.add_argument("--gap-min-s", type=int, default=1200)
-    p_synth.add_argument("--gap-max-s", type=int, default=2400)
+    p_synth.add_argument("--noise-sigma-m", type=float)
+    p_synth.add_argument("--drift-radius-m", type=float)
+    p_synth.add_argument("--interval-min-s", type=int)
+    p_synth.add_argument("--interval-max-s", type=int)
+    p_synth.add_argument("--gaps-per-vessel", type=int)
+    p_synth.add_argument("--gap-min-s", type=int)
+    p_synth.add_argument("--gap-max-s", type=int)
     p_synth.add_argument("--archetypes",
                          help=f"comma-separated, cycled over vessels; one of {ARCHETYPES}")
     p_synth.add_argument("--out", required=True)

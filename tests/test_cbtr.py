@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,7 +20,7 @@ from trackstitch.kinematics import DEG_LAT_PER_KNOT_S
 from trackstitch.model import AisPoint, CbtrConfig, TrackDataset
 from trackstitch.npc import npc_cluster, npc_grouping_targets
 from trackstitch.search import SlabIndex
-from trackstitch.synth import SynthConfig, generate_fleet
+from trackstitch.synth import SynthConfig, generate_fleet, scenario_s1
 
 from conftest import MODE_NAME, link_of, small_mixed_config
 
@@ -131,6 +132,37 @@ def _moving_fleet():
 def _dense_fleet():
     # every report's window spans the whole fleet
     return generate_fleet(SynthConfig(n_vessels=20, duration_s=600, seed=65))
+
+
+def _steady_cells_rejected(ds):
+    """How many window cells pair as steady and fail the time-axis gate."""
+    pts = reference.pts_of(ds)
+    return sum(pts[i][3] + pts[j][3] <= CFG.moving_speed_sum
+               and reference.pair_score(pts[i], pts[j], ds.alpha, CFG) is None
+               for i in range(len(ds)) for j in candidate_window(ds, i, CFG))
+
+
+# fleet -> (its maker, sha256 of build_links' targets, error bit patterns and modes)
+LINK_BITS = {
+    "s1-seed7": (lambda: generate_fleet(scenario_s1(7)),
+                 "97d30e03aa6fe196745419f78af9773e38fe36011a41466fb4e13a1f6e45d291"),
+    "harbor-seed7": (lambda: generate_fleet(SynthConfig(n_vessels=200, duration_s=3600,
+                                                        noise_sigma_m=10.0, seed=7)),
+                     "3e929e2477f6d499403b2cec56b0c20ee0afddbb61e7b5a928466ac14e471437"),
+    "steady": (_steady_fleet,
+               "a87f039e22c926a248204a4f8ac7175df2ba6c95d6982fcdd2c6c73a1a2a244e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINK_BITS))
+def test_link_bits_are_pinned(name):
+    # _assert_links_match compares errors to a tolerance; this pins every bit
+    make, digest = LINK_BITS[name]
+    ds = make()
+    assert name != "steady" or _steady_cells_rejected(ds) > 0
+    links = build_links(ds, CFG)
+    bits = links.targets.tobytes() + links.errors.view(np.int64).tobytes() + links.modes.tobytes()
+    assert hashlib.sha256(bits).hexdigest() == digest
 
 
 def _linked_modes(links):
@@ -880,7 +912,7 @@ def test_link_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
+    assert peak < 5 * 2**20
 
 
 def _long_span_fleet():
@@ -896,7 +928,7 @@ def _long_span_fleet():
 
 def test_long_span_fleet_links_in_small_memory():
     # the index holds only the slabs with a report; one int32 per slab of
-    # the span would alone take 31 MB.  The rest is the block buffers
+    # the span would alone take 31 MB
     ds = _long_span_fleet()
     assert ds.t[-1] - ds.t[0] >= 10**9
     tracemalloc.start()
@@ -905,5 +937,5 @@ def test_long_span_fleet_links_in_small_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < 2**20
     _assert_links_match(links, reference.link_all(reference.pts_of(ds), ds.alpha, CFG))

@@ -440,8 +440,8 @@ def test_cluster_links_reports_near_the_end_of_int64_time(tmp_path):
                     "4611686018427387305,37,-76,0,0\n"
                     "4611686018427387903,37,-76,0,0\n")
     assert main(["cluster", str(path), "--out", str(tmp_path / "run"), "--n-abnormal", "0"]) == 0
-    rows = list(csv.DictReader((tmp_path / "run" / "assignment.csv").open()))
-    assert [row["cluster"] for row in rows] == ["0", "1", "1"]
+    with (tmp_path / "run" / "assignment.csv").open() as f:
+        assert [row["cluster"] for row in csv.DictReader(f)] == ["0", "1", "1"]
 
 
 def _npc_probe(path, first):
@@ -473,8 +473,8 @@ def test_npc_rejects_times_whose_float_is_inexact(tmp_path, capsys, first, clust
         assert "2**53" in capsys.readouterr().err
     else:
         assert code == 0
-        rows = csv.DictReader((out / "assignment.csv").open())
-        assert "".join(row["cluster"] for row in rows) == clusters
+        with (out / "assignment.csv").open() as f:
+            assert "".join(row["cluster"] for row in csv.DictReader(f)) == clusters
 
 
 def test_downsample_flow(fleet_csv, tmp_path, capsys):
@@ -515,6 +515,19 @@ def test_error_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--n-vessels", "3", "--noise-sigma-m", "50"], "--n-vessels, --noise-sigma-m"),
+    (["--gap-max-s", "900"], "--gap-max-s"),
+    (["--archetypes", "transit"], "--archetypes"),
+], ids=["vessels-and-noise", "gap-max", "archetypes"])
+def test_synth_scenario_rejects_fleet_flags(tmp_path, capsys, flags, named):
+    # a scenario fixes its fleet, so these flags would be dropped unread
+    out = tmp_path / "f.csv"
+    assert main(["synth", "--scenario", "s1", "--seed", "7", *flags, "--out", str(out)]) == 1
+    assert f"error: {named} cannot be combined with --scenario" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):
