@@ -135,6 +135,8 @@ def _score_block(ws: _Workspace, rows: np.ndarray, cols: np.ndarray):
     dot = vv + ulat * vlat + ulon * dlon
     unorm = np.sqrt(vv + ulat * ulat + ulon * ulon) * vnorm
     moving_ok = dot / unorm > cfg.cos_moving_min
+    # a batch's live arrays set build_links' memory peak
+    del dlat, dlon, vtau, vv, vlat, vnorm, ts, ulat, ulon, dot, unorm
 
     # two-sided dead-reckoning error: i forward to j's time, j back to i's
     fl = (plat - lat_j) * alpha
