@@ -73,8 +73,8 @@ class _Workspace:
         self.alpha = ds.alpha
         # sog >= 0, so a report faster than moving_speed_sum pairs as moving
         self.slow = self.sog <= cfg.moving_speed_sum
-        # the kernel's moving time term of dt = 1, 2, ... up to the widest
-        # gap a window can hold, computed with the kernel's own operations
+        # the moving time term of dt = 1, 2, ... up to the widest gap a
+        # window can hold: the kernel reads it, and _tube bounds reach by it
         span = min(cfg.window_s, int(ds.t[-1] - ds.t[0]))
         self.tt = np.square(cfg.time_weight_moving * np.arange(1.0, span + 1))
 
@@ -110,7 +110,8 @@ def _score_block(ws: _Workspace, rows: np.ndarray, cols: np.ndarray):
     alpha = ws.alpha
     lat_i, lon_i = ws.lat[rows], ws.lon[rows]
     lat_j, lon_j = ws.lat[cols], ws.lon[cols]
-    # the time gap is an exact integer before it becomes a float
+    # the time gap is an exact integer before it becomes a float, 1 up to
+    # the length of ws.tt, which holds its moving time term
     dt = (ws.t[cols] - ws.t[rows]).astype(np.float64)
     moving = ws.sog[rows] + ws.sog[cols] > cfg.moving_speed_sum
 
@@ -141,7 +142,7 @@ def _score_block(ws: _Workspace, rows: np.ndarray, cols: np.ndarray):
     # two-sided dead-reckoning error: i forward to j's time, j back to i's
     fl = (plat - lat_j) * alpha
     fo = plon - lon_j
-    tt = np.square(cfg.time_weight_moving * dt)
+    tt = ws.tt[dt.astype(np.int64) - 1]
     forward = tt + fl * fl + fo * fo
     bl = (lat_j - ws.vn[cols] * dt - lat_i) * alpha
     bo = lon_j - ws.ve[cols] * dt - lon_i

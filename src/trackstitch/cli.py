@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .cbtr import run_cbtr, surviving_targets
 from .export import export_geojson, export_label_timeline
-from .ingest import IngestError, csv_rows, parse_ais_csv, write_ais_csv
+from .ingest import (IngestError, _data_lines, _first_format_error, _load, _open_text,
+                     _parse_int, csv_rows, parse_ais_csv, write_ais_csv)
 from .metrics import EvalReport, build_report, successor_targets
 from .model import CbtrConfig, ClusterAssignment, TrackDataset
 from .npc import NpcConfig, npc_classify, npc_cluster, npc_grouping_targets
@@ -102,24 +104,19 @@ def _add_cbtr_flags(parser: argparse.ArgumentParser) -> None:
 def _add_npc_flags(parser: argparse.ArgumentParser) -> None:
     defaults = NpcConfig()
     parser.add_argument("--k-neighbors", type=int, default=defaults.k_neighbors)
-    parser.add_argument("--npc-time-weight", dest="time_weight", type=float,
-                        default=defaults.time_weight)
-    parser.add_argument("--npc-lat-weight", dest="lat_weight", type=float,
-                        default=defaults.lat_weight)
-    parser.add_argument("--npc-lon-weight", dest="lon_weight", type=float,
-                        default=defaults.lon_weight)
-    parser.add_argument("--npc-sog-weight", dest="sog_weight", type=float,
-                        default=defaults.sog_weight)
-    parser.add_argument("--npc-cog-weight", dest="cog_weight", type=float,
-                        default=defaults.cog_weight)
+    for name in ("time", "lat", "lon", "sog", "cog"):
+        parser.add_argument(f"--npc-{name}-weight", dest=f"{name}_weight", type=float,
+                            default=getattr(defaults, f"{name}_weight"))
 
 
 _ASSIGNMENT_HEADER = "index,t,lat,lon,cluster,endpoint,abnormal"
-# the columns eval reads; lat and lon are counted as fields, as zero-width
-# text, but not converted
+# the columns eval reads, and a check per field: lat and lon are counted as
+# fields, as zero-width text without a check, but not converted
 _ASSIGNMENT_INTS = ("index", "t", "cluster", "endpoint", "abnormal")
 _ASSIGNMENT_ROW = np.dtype([(name, np.int64 if name in _ASSIGNMENT_INTS else "U0")
                             for name in _ASSIGNMENT_HEADER.split(",")])
+_ASSIGNMENT_CHECKS = [_parse_int if name in _ASSIGNMENT_INTS else None
+                      for name in _ASSIGNMENT_HEADER.split(",")]
 
 
 def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment) -> Iterator[bytes]:
@@ -136,31 +133,30 @@ def _assignment_csv(ds: TrackDataset, assignment: ClusterAssignment) -> Iterator
 
 
 def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
-    """Report times and the assignment from an assignment.csv, read by column."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _ASSIGNMENT_HEADER:
-        raise IngestError(f"{path} line 1: not an assignment file")
-    if not any(lines[1:]):
-        raise IngestError(f"{path}: no data rows")
-    try:
-        table = np.loadtxt(lines[1:], dtype=_ASSIGNMENT_ROW, delimiter=",",
-                           comments=None, ndmin=1)
-    except ValueError as exc:
-        raise _first_assignment_error(path, lines, exc) from None
-    index, t, cluster, endpoint, abnormal = (
-        np.ascontiguousarray(table[name]) for name in _ASSIGNMENT_INTS)
-    # rows run in index order and flag with 0 or 1; loadtxt skipped the
-    # blank lines, so row r is on the r-th non-blank line
-    wrong = {"index": index != np.arange(len(index)),
-             "endpoint": (endpoint != 0) & (endpoint != 1),
-             "abnormal": (abnormal != 0) & (abnormal != 1)}
-    bad = np.logical_or.reduce(list(wrong.values()))
-    if bad.any():
-        row = int(bad.argmax())
-        name = next(name for name, column in wrong.items() if column[row])
-        line_no = [k for k, line in enumerate(lines[1:], start=2) if line][row]
-        expected = row if name == "index" else "0 or 1"
-        raise IngestError(f"{path} line {line_no}: {name} {table[name][row]}, expected {expected}")
+    """Report times and the assignment from an assignment.csv, read by column
+    as parse_ais_csv reads reports."""
+    with _open_text(path) as handle:
+        if handle.readline().rstrip("\n") != _ASSIGNMENT_HEADER:
+            raise IngestError("line 1: not an assignment file")
+        try:
+            table = _load(handle, _ASSIGNMENT_ROW)
+        except (ValueError, DeprecationWarning) as exc:
+            raise _first_format_error(handle, _ASSIGNMENT_CHECKS, exc) from None
+        if not len(table):
+            raise IngestError("no data rows")
+        index, t, cluster, endpoint, abnormal = (
+            np.ascontiguousarray(table[name]) for name in _ASSIGNMENT_INTS)
+        # rows run in index order and flag with 0 or 1
+        wrong = {"index": index != np.arange(len(index)),
+                 "endpoint": (endpoint != 0) & (endpoint != 1),
+                 "abnormal": (abnormal != 0) & (abnormal != 1)}
+        bad = np.logical_or.reduce(list(wrong.values()))
+        if bad.any():
+            row = int(bad.argmax())
+            name = next(name for name, column in wrong.items() if column[row])
+            expected = row if name == "index" else "0 or 1"
+            line, _ = next(islice(_data_lines(handle), row, None))
+            raise IngestError(f"line {line}: {name} {table[name][row]}, expected {expected}")
     # any distinct integers name the clusters; number them 0..k-1
     _, cluster = np.unique(cluster, return_inverse=True)
     assignment = ClusterAssignment(cluster_of=cluster, endpoints=np.flatnonzero(endpoint),
@@ -168,28 +164,19 @@ def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
     return t, assignment
 
 
-def _first_assignment_error(path: str, lines: list[str], fallback: Exception) -> IngestError:
-    """The first line of an assignment.csv breaking the row format, scanned
-    only when the column pass fails: field count, then int(), then int64."""
-    width = len(_ASSIGNMENT_ROW)
-    ints = [k for k in range(width) if _ASSIGNMENT_ROW[k].kind == "i"]
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            return IngestError(f"{path} line {line_no}: expected {width} fields")
-        try:
-            values = [int(parts[k]) for k in ints]
-        except ValueError as exc:
-            return IngestError(f"{path} line {line_no}: {exc}")
-        if not all(-2**63 <= value < 2**63 for value in values):
-            return IngestError(f"{path} line {line_no}: integer out of int64 range")
-    return IngestError(f"{path}: unreadable assignment: {fallback}")
+def _read(path: str, read: Callable | None = None, **options):
+    """``read(path, **options)``, parse_ais_csv by default, with an input
+    error led by the path: ``PATH line N: MESSAGE``, or ``PATH: MESSAGE``.
+    The default is looked up per call, so a wrapper set on it applies."""
+    try:
+        return (read or parse_ais_csv)(path, **options)
+    except (IngestError, UnicodeDecodeError) as exc:
+        lead = path if str(exc).startswith("line ") else f"{path}:"
+        raise IngestError(f"{lead} {exc}") from None
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    ds = parse_ais_csv(args.input)
+    ds = _read(args.input)
     cfg = _config_from(args, CbtrConfig if args.algo == "cbtr" else NpcConfig)
     if args.print_config:
         for key, value in sorted(asdict(cfg).items()):
@@ -232,8 +219,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    train = parse_ais_csv(args.train, has_labels=True)
-    test = parse_ais_csv(args.test)
+    train = _read(args.train, has_labels=True)
+    test = _read(args.test)
     # both files were rebased to their own start; restore a shared timeline
     base = min(int(train.epoch), int(test.epoch))
     train, test = (replace(ds, t=ds.t + (int(ds.epoch) - base), epoch=str(base))
@@ -292,8 +279,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    t_assign, assignment = _read_assignment(args.assignment)
-    truth = parse_ais_csv(args.truth, has_labels=True)
+    t_assign, assignment = _read(args.assignment, _read_assignment)
+    truth = _read(args.truth, has_labels=True)
     if len(truth) != len(assignment):
         raise ValueError(f"assignment has {len(assignment)} points, "
                          f"truth has {len(truth)}")
@@ -311,7 +298,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_downsample(args: argparse.Namespace) -> int:
-    ds = parse_ais_csv(args.input)
+    ds = _read(args.input)
     thinned = downsample(ds, args.pattern)
     write_ais_csv(thinned, args.out)
     print(f"kept {len(thinned)} of {len(ds)} points ({args.pattern})")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
@@ -46,12 +47,20 @@ class IngestError(ValueError):
     """Malformed header or row; the message names the offending line."""
 
 
-def _open_text(source: Source) -> TextIO:
-    """A seekable text handle on the source, past any UTF-8 byte-order mark."""
-    if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8-sig")
-    # newline=None translates line ends as reading a path does
-    return io.StringIO(source.read().removeprefix("\ufeff"), newline=None)
+@contextmanager
+def _open_text(source: Source) -> Iterator[TextIO]:
+    """A seekable text handle on the source, past any UTF-8 byte-order mark;
+    a decoding error names its byte's offset in the whole file."""
+    if not isinstance(source, (str, Path)):
+        # newline=None translates line ends as reading a path does
+        yield io.StringIO(source.read().removeprefix("\ufeff"), newline=None)
+        return
+    with open(source, encoding="utf-8-sig") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            Path(source).read_text(encoding="utf-8-sig")
+            raise
 
 
 def _plain(raw: str) -> bool:
@@ -89,6 +98,23 @@ def _parse_number(raw: str) -> float:
     return value
 
 
+def _parse_int(raw: str) -> int:
+    """int() of an int64, restricted to numpy's syntax as _parse_number is."""
+    value = int(raw)
+    if not _plain(raw):
+        raise ValueError(f"invalid literal for int() with base 10: {raw!r}")
+    if not -2**63 <= value < 2**63:
+        raise ValueError("integer out of int64 range")
+    return value
+
+
+def _parse_vid(raw: str) -> str:
+    """The vid as it is; ValueError if it is empty."""
+    if not raw:
+        raise ValueError("empty vid")
+    return raw
+
+
 def _data_lines(handle: TextIO):
     """(line number, fields) of each non-blank record after the header."""
     handle.seek(0)
@@ -97,30 +123,24 @@ def _data_lines(handle: TextIO):
     return ((line, row) for line, row in rows if row)
 
 
-def _first_format_error(handle: TextIO, labeled: bool, fallback: Exception) -> IngestError:
+def _first_format_error(handle: TextIO, checks: list, fallback: Exception) -> IngestError:
     """The first line breaking the row format, checked as the rows are read:
-    field count, then vid, timestamp and floats."""
-    expected = 6 if labeled else 5
+    field count, then each field by its check, in order (None: any text)."""
     for line, row in _data_lines(handle):
-        if len(row) != expected:
-            return IngestError(f"line {line}: expected {expected} fields, got {len(row)}")
-        if labeled and not row[0]:
-            return IngestError(f"line {line}: empty vid")
+        if len(row) != len(checks):
+            return IngestError(f"line {line}: expected {len(checks)} fields, got {len(row)}")
         try:
-            _parse_timestamp(row[int(labeled)])
-            for raw in row[int(labeled) + 1:]:
-                _parse_number(raw)
+            for check, raw in zip(checks, row):
+                if check is not None:
+                    check(raw)
         except ValueError as exc:
             return IngestError(f"line {line}: {exc}")
     return IngestError(f"unreadable CSV: {fallback}")
 
 
-def _load(handle: TextIO, labeled: bool, timestamp: type) -> np.ndarray:
-    """The data rows as a structured array, the timestamps read as ``timestamp``
-    (int64, or object for their text)."""
-    text_fields = (("vid", object),) if labeled else ()
-    dtype = np.dtype([*text_fields, ("timestamp", timestamp),
-                      *((name, np.float64) for name in REQUIRED_COLUMNS[1:])])
+def _load(handle: TextIO, dtype: np.dtype) -> np.ndarray:
+    """The data rows from the handle's position on as a structured array of
+    ``dtype``, one field per column."""
     with warnings.catch_warnings():
         # loadtxt warns about blank lines and about input without rows
         warnings.simplefilter("ignore", UserWarning)
@@ -138,13 +158,7 @@ def parse_ais_csv(source: Source, has_labels: bool | None = None) -> TrackDatase
     mark before the header is skipped.
     """
     with _open_text(source) as handle:
-        try:
-            return _parse(handle, has_labels)
-        except UnicodeDecodeError:
-            # name the bad byte's offset in the whole file, not in the chunk
-            # the handle decoded last
-            Path(source).read_text(encoding="utf-8-sig")
-            raise
+        return _parse(handle, has_labels)
 
 
 def _parse(handle: TextIO, has_labels: bool | None) -> TrackDataset:
@@ -152,11 +166,8 @@ def _parse(handle: TextIO, has_labels: bool | None) -> TrackDataset:
     if not first:
         raise IngestError("empty input")
     header = [h.strip() for h in next(csv.reader([first]))]
-    if header == list(("vid",) + REQUIRED_COLUMNS):
-        labeled = True
-    elif header == list(REQUIRED_COLUMNS):
-        labeled = False
-    else:
+    labeled = header[:1] == ["vid"]
+    if header[int(labeled):] != list(REQUIRED_COLUMNS):
         raise IngestError(
             f"line 1: expected columns vid?,{','.join(REQUIRED_COLUMNS)}, got {','.join(header)}")
     if has_labels is True and not labeled:
@@ -165,14 +176,16 @@ def _parse(handle: TextIO, has_labels: bool | None) -> TrackDataset:
         raise IngestError("line 1: unexpected vid column")
 
     body = handle.tell()
+    vid_field = [("vid", object)] if labeled else []
+    floats = [(name, np.float64) for name in REQUIRED_COLUMNS[1:]]
     try:
         try:
-            table = _load(handle, labeled, np.int64)
+            table = _load(handle, np.dtype([*vid_field, ("timestamp", np.int64), *floats]))
             raw_t = table["timestamp"]
         except (ValueError, DeprecationWarning):
             # ISO text, a value past int64 or a bad row: read the times as text
             handle.seek(body)
-            table = _load(handle, labeled, object)
+            table = _load(handle, np.dtype([*vid_field, ("timestamp", object), *floats]))
             raw_t = np.fromiter(map(_parse_timestamp, table["timestamp"]), dtype=np.int64,
                                 count=len(table))
         if labeled and np.any(table["vid"] == ""):
@@ -180,7 +193,8 @@ def _parse(handle: TextIO, has_labels: bool | None) -> TrackDataset:
         if not np.all((raw_t > -_SECONDS_LIMIT) & (raw_t < _SECONDS_LIMIT)):
             raise ValueError("timestamp out of range")
     except ValueError as exc:
-        raise _first_format_error(handle, labeled, exc) from None
+        checks = [_parse_vid] * len(vid_field) + [_parse_timestamp] + [_parse_number] * 4
+        raise _first_format_error(handle, checks, exc) from None
     if not len(table):
         raise IngestError("no data rows")
     if labeled:
@@ -268,10 +282,6 @@ def write_ais_csv(ds: TrackDataset, dest: Union[str, Path, TextIO]) -> None:
         columns.insert(0, list(map(quoted.__getitem__, ds.vids)))
         header = "vid," + header
     own = isinstance(dest, (str, Path))
-    handle = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
+    with open(dest, "w", encoding="utf-8", newline="") if own else nullcontext(dest) as handle:
         handle.write(header + "\n")
         handle.writelines(csv_rows(columns))
-    finally:
-        if own:
-            handle.close()

@@ -98,10 +98,10 @@ ROW = "0,0,1.0,2.0,0,0,0\n"
 EVAL_REJECTED = [
     pytest.param("index,t\n" + ROW, " line 1: not an assignment file", id="bad-header"),
     pytest.param("", " line 1: not an assignment file", id="empty"),
-    pytest.param(ASSIGNMENT_HEAD + "0,0,1.0,2.0,0,0\n", " line 2: expected 7 fields",
+    pytest.param(ASSIGNMENT_HEAD + "0,0,1.0,2.0,0,0\n", " line 2: expected 7 fields, got 6",
                  id="short-row"),
     pytest.param(ASSIGNMENT_HEAD + ROW + "\n1,5,1.0,2.0,0,0,0,0\n",
-                 " line 4: expected 7 fields", id="long-row-after-blank"),
+                 " line 4: expected 7 fields, got 8", id="long-row-after-blank"),
     pytest.param(ASSIGNMENT_HEAD + "0,x,1.0,2.0,0,0,0\n",
                  " line 2: invalid literal for int() with base 10: 'x'", id="bad-time"),
     pytest.param(ASSIGNMENT_HEAD + ROW + "1,5,1.0,2.0,0,1.0,0\n",
@@ -110,11 +110,15 @@ EVAL_REJECTED = [
                  " line 3: integer out of int64 range", id="int64-overflow"),
     pytest.param(ASSIGNMENT_HEAD + "\n\n", ": no data rows", id="blank-rows-only"),
     pytest.param(ASSIGNMENT_HEAD + ROW + "1,1_000,1.0,2.0,0,0,0\n",
-                 ": unreadable assignment: could not convert string '1_000' to int64"
-                 " at row 1, column 2.", id="digit-separator"),
+                 " line 3: invalid literal for int() with base 10: '1_000'",
+                 id="digit-separator"),
     pytest.param(ASSIGNMENT_HEAD + ROW + "1,\u0661\u0662,1.0,2.0,0,0,0\n",
-                 ": unreadable assignment: could not convert string '\u0661\u0662' to"
-                 " int64 at row 1, column 2.", id="non-ascii-digits"),
+                 " line 3: invalid literal for int() with base 10: '\u0661\u0662'",
+                 id="non-ascii-digits"),
+    # a lone surrogate escape writes the byte 0xff, which is not UTF-8
+    pytest.param(ASSIGNMENT_HEAD + ROW + "1,5,1.0,2.0,0,0,\udcff\n",
+                 ": 'utf-8' codec can't decode byte 0xff in position 76: invalid start byte",
+                 id="not-utf-8"),
     pytest.param(ASSIGNMENT_HEAD + "1,0,1.0,2.0,0,0,0\n0,0,1.0,2.0,1,0,0\n",
                  " line 2: index 1, expected 0", id="swapped-rows"),
     pytest.param(ASSIGNMENT_HEAD + ROW + "\n99,5,1.0,2.0,0,0,0\n",
@@ -127,12 +131,13 @@ EVAL_REJECTED = [
 @pytest.mark.parametrize("text, message", EVAL_REJECTED)
 def test_eval_rejects_bad_assignment(fleet_csv, tmp_path, capsys, text, message):
     path = tmp_path / "assignment.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["eval", str(path), str(fleet_csv)]) == 1
     assert capsys.readouterr().err == f"error: {path}{message}\n"
 
 
-@pytest.mark.parametrize("variant", ["padded", "crlf", "blank-lines", "lat-lon-unread"])
+@pytest.mark.parametrize("variant", ["padded", "crlf", "blank-lines", "lat-lon-unread", "bom",
+                                     "bom-crlf"])
 def test_eval_reads_assignment_variants(fleet_csv, tmp_path, capsys, variant):
     outdir = tmp_path / "run"
     assert main(["cluster", str(fleet_csv), "--out", str(outdir)]) == 0
@@ -146,7 +151,9 @@ def test_eval_reads_assignment_variants(fleet_csv, tmp_path, capsys, variant):
                 for r in rows]
     elif variant == "blank-lines":
         rows = [r + "\n" for r in rows]
-    end = "\r\n" if variant == "crlf" else "\n"
+    if variant.startswith("bom"):
+        head = "\ufeff" + head
+    end = "\r\n" if variant.endswith("crlf") else "\n"
     odd = tmp_path / "odd.csv"
     odd.write_bytes(end.join([head, *rows, ""]).encode())
     capsys.readouterr()
@@ -408,6 +415,18 @@ def test_classify_before_history_prints_one_short_error(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith(f"error: no labeled history for {len(lines) - len(late)} test points: ")
     assert len(err[0]) < 200
+
+
+@pytest.mark.parametrize("bad", ["train", "test"])
+def test_classify_error_names_the_bad_input(fleet_csv, tmp_path, capsys, bad):
+    short = tmp_path / "short.csv"
+    short.write_text("vid,timestamp,lat,lon,sog,cog\n"
+                     "A,5,37.0,-76.0,5.0,0.0\nA,6,37.0,-76.0,5.0\n")
+    files = {"train": fleet_csv, "test": fleet_csv, bad: short}
+    capsys.readouterr()
+    assert main(["classify", str(files["train"]), str(files["test"]),
+                 "--out", str(tmp_path / "labeled.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {short} line 3: expected 6 fields, got 5\n"
 
 
 def test_cluster_tiny_track_reports_undefined_rate(tmp_path, capsys):
