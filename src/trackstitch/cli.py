@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .cbtr import run_cbtr, surviving_targets
 from .export import export_geojson, export_label_timeline
-from .ingest import (IngestError, _data_lines, _first_format_error, _load, _open_text,
+from .ingest import (IngestError, _first_format_error, _line_of, _load, _open_text,
                      _parse_int, csv_rows, parse_ais_csv, write_ais_csv)
 from .metrics import EvalReport, build_report, successor_targets
 from .model import CbtrConfig, ClusterAssignment, TrackDataset
@@ -91,22 +90,33 @@ def _write_outputs(out: Path, writers: dict[str, Callable[[BinaryIO], object]]) 
             temp.unlink(missing_ok=True)
 
 
-def _config_from(args: argparse.Namespace, cls):
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+_CONFIGS = {"cbtr": CbtrConfig, "npc": NpcConfig}
 
 
-def _add_cbtr_flags(parser: argparse.ArgumentParser) -> None:
-    for f in fields(CbtrConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"),
-                            type=type(f.default), default=f.default)
+def _flag(cls, name: str) -> str:
+    """The cluster flag that sets a config field; npc's weights carry ``npc-``."""
+    prefix = "npc-" if cls is NpcConfig and name != "k_neighbors" else ""
+    return f"--{prefix}{name.replace('_', '-')}"
 
 
-def _add_npc_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = NpcConfig()
-    parser.add_argument("--k-neighbors", type=int, default=defaults.k_neighbors)
-    for name in ("time", "lat", "lon", "sog", "cog"):
-        parser.add_argument(f"--npc-{name}-weight", dest=f"{name}_weight", type=float,
-                            default=getattr(defaults, f"{name}_weight"))
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    # an unset flag stays out of the namespace, so a stray one can be told apart
+    for cls in _CONFIGS.values():
+        for f in fields(cls):
+            parser.add_argument(_flag(cls, f.name), dest=f.name, default=argparse.SUPPRESS,
+                                type=int if isinstance(f.default, int) else float)
+
+
+def _cluster_config(args: argparse.Namespace) -> CbtrConfig | NpcConfig:
+    """The chosen algorithm's config from the flags given plus its defaults;
+    a flag of the other algorithm is refused rather than ignored."""
+    given = vars(args)
+    other = "npc" if args.algo == "cbtr" else "cbtr"
+    stray = [_flag(_CONFIGS[other], f.name) for f in fields(_CONFIGS[other]) if f.name in given]
+    if stray:
+        raise ValueError(f"--algo {args.algo} cannot take {other} flags: {', '.join(stray)}")
+    cls = _CONFIGS[args.algo]
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
 
 
 _ASSIGNMENT_HEADER = "index,t,lat,lon,cluster,endpoint,abnormal"
@@ -155,8 +165,8 @@ def _read_assignment(path: str) -> tuple[np.ndarray, ClusterAssignment]:
             row = int(bad.argmax())
             name = next(name for name, column in wrong.items() if column[row])
             expected = row if name == "index" else "0 or 1"
-            line, _ = next(islice(_data_lines(handle), row, None))
-            raise IngestError(f"line {line}: {name} {table[name][row]}, expected {expected}")
+            raise IngestError(f"line {_line_of(handle, row)}: {name} {table[name][row]}, "
+                              f"expected {expected}")
     # any distinct integers name the clusters; number them 0..k-1
     _, cluster = np.unique(cluster, return_inverse=True)
     assignment = ClusterAssignment(cluster_of=cluster, endpoints=np.flatnonzero(endpoint),
@@ -176,8 +186,8 @@ def _read(path: str, read: Callable | None = None, **options):
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    cfg = _cluster_config(args)
     ds = _read(args.input)
-    cfg = _config_from(args, CbtrConfig if args.algo == "cbtr" else NpcConfig)
     if args.print_config:
         for key, value in sorted(asdict(cfg).items()):
             print(f"{key} = {value}")
@@ -282,10 +292,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     t_assign, assignment = _read(args.assignment, _read_assignment)
     truth = _read(args.truth, has_labels=True)
     if len(truth) != len(assignment):
-        raise ValueError(f"assignment has {len(assignment)} points, "
-                         f"truth has {len(truth)}")
+        raise ValueError(f"{args.assignment} has {len(assignment)} points, "
+                         f"{args.truth} has {len(truth)}")
     if not np.array_equal(t_assign, truth.t):
-        raise ValueError("assignment and truth disagree on report times")
+        row = int(np.argmax(t_assign != truth.t))
+        with _open_text(args.assignment) as handle:
+            line = _line_of(handle, row)
+        raise ValueError(f"{args.assignment} line {line}: t {t_assign[row]}, "
+                         f"but {args.truth} has t {truth.t[row]}")
     targets = successor_targets(assignment.cluster_of)
     report = build_report(assignment, targets, truth.vids,
                           time.perf_counter() - start)
@@ -313,14 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser("cluster", help="group reports into per-vessel tracks")
     p_cluster.add_argument("input", help="CSV of reports, vid column optional")
-    p_cluster.add_argument("--algo", choices=("cbtr", "npc"), default="cbtr")
+    p_cluster.add_argument("--algo", choices=tuple(_CONFIGS), default="cbtr")
     p_cluster.add_argument("--out", required=True, help="output directory")
     # accepted and ignored: the benchmark harness still passes it on every call
     p_cluster.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_cluster.add_argument("--print-config", action="store_true",
                            help="dump the effective configuration before running")
-    _add_cbtr_flags(p_cluster)
-    _add_npc_flags(p_cluster)
+    _add_config_flags(p_cluster)
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_classify = sub.add_parser("classify", help="label test reports from labeled history")

@@ -115,12 +115,24 @@ def _parse_vid(raw: str) -> str:
     return raw
 
 
-def _data_lines(handle: TextIO):
-    """(line number, fields) of each non-blank record after the header."""
+def _data_lines(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank record after the header, the
+    number being the line the record starts on: a quoted line break makes a
+    record longer than one line."""
     handle.seek(0)
-    rows = enumerate(csv.reader(handle), start=1)
-    next(rows)
-    return ((line, row) for line, row in rows if row)
+    reader = csv.reader(handle)
+    next(reader, None)
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
+def _line_of(handle: TextIO, row: int) -> int:
+    """The line that data row ``row`` (from 0) starts on."""
+    line, _ = next(islice(_data_lines(handle), row, None))
+    return line
 
 
 def _first_format_error(handle: TextIO, checks: list, fallback: Exception) -> IngestError:
@@ -206,8 +218,7 @@ def _parse(handle: TextIO, has_labels: bool | None) -> TrackDataset:
     bad = first_bad_report(*columns)
     if bad is not None:
         index, message = bad
-        line, _ = next(islice(_data_lines(handle), index, None))
-        raise IngestError(f"line {line}: {message}")
+        raise IngestError(f"line {_line_of(handle, index)}: {message}")
 
     t0 = int(raw_t.min())
     return TrackDataset.from_columns(raw_t - t0, *columns,

@@ -164,6 +164,29 @@ def test_eval_reads_assignment_variants(fleet_csv, tmp_path, capsys, variant):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("edit", ["time", "count"])
+def test_eval_names_the_files_that_disagree(fleet_csv, tmp_path, capsys, edit):
+    outdir = tmp_path / "run"
+    assert main(["cluster", str(fleet_csv), "--out", str(outdir)]) == 0
+    path = outdir / "assignment.csv"
+    head, *rows = path.read_text().splitlines()
+    n = len(rows)
+    if edit == "time":
+        # the second row, after a blank line, sits on line 4
+        fields = rows[1].split(",")
+        t = int(fields[1])
+        rows[1] = ",".join([fields[0], str(t + 1), *fields[2:]])
+        rows[0] += "\n"
+        message = f"{path} line 4: t {t + 1}, but {fleet_csv} has t {t}"
+    else:
+        rows.pop()
+        message = f"{path} has {n - 1} points, {fleet_csv} has {n}"
+    path.write_text("\n".join([head, *rows, ""]))
+    capsys.readouterr()
+    assert main(["eval", str(path), str(fleet_csv)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.booleans()), min_size=1,
                 max_size=20))
@@ -330,7 +353,7 @@ def test_every_config_flag_reaches_the_config(fleet_csv, tmp_path, capsys, cls, 
     outdir = tmp_path / algo
     argv = ["cluster", str(fleet_csv), "--algo", algo, "--out", str(outdir),
             "--print-config"]
-    for flag, _, value in CONFIG_FLAGS[CbtrConfig] + CONFIG_FLAGS[NpcConfig]:
+    for flag, _, value in CONFIG_FLAGS[cls]:
         argv += [flag, str(value)]
     assert main(argv) == 0
     printed = capsys.readouterr().out.splitlines()
@@ -339,6 +362,20 @@ def test_every_config_flag_reaches_the_config(fleet_csv, tmp_path, capsys, cls, 
         assert value != getattr(cls(), name)
         assert f"{name} = {value}" in printed
         assert f"config.{name} = {value}" in manifest
+
+
+@pytest.mark.parametrize("algo, other", [("cbtr", "npc"), ("npc", "cbtr")])
+def test_cluster_refuses_the_other_algorithms_flags(fleet_csv, tmp_path, capsys, algo, other):
+    # the chosen algorithm would ignore every one of them, so none is taken
+    other_flags = CONFIG_FLAGS[{"cbtr": CbtrConfig, "npc": NpcConfig}[other]]
+    outdir = tmp_path / algo
+    argv = ["cluster", str(fleet_csv), "--algo", algo, "--out", str(outdir)]
+    for flag, _, value in other_flags:
+        argv += [flag, str(value)]
+    assert main(argv) == 1
+    flags = ", ".join(flag for flag, _, _ in other_flags)
+    assert capsys.readouterr().err == f"error: --algo {algo} cannot take {other} flags: {flags}\n"
+    assert not outdir.exists()
 
 
 def test_cluster_unlabeled_input(fleet_csv, tmp_path, capsys):

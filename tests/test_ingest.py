@@ -141,6 +141,11 @@ REJECTED = [
                  id="blank-lines-counted"),
     pytest.param(HEAD5 + "5,1,2,3,4\n   \n7,1,2,3,4\n", "line 3: expected 5 fields, got 1",
                  id="whitespace-line"),
+    # a quoted line break makes its record two lines long; later ones keep their line
+    pytest.param(HEAD6 + '"a\nb",5,1,2,3,4\nc,6,1,2,3\n', "line 4: expected 6 fields, got 5",
+                 id="after-quoted-line-break"),
+    pytest.param(HEAD6 + '"a\nb",5,1,2,3,4\nc,6,95,2,3,4\n', "line 4: lat out of range: 95.0",
+                 id="range-after-quoted-line-break"),
     pytest.param(HEAD5, "no data rows", id="header-only"),
     pytest.param(HEAD5 + "\n\n", "no data rows", id="blank-rows-only"),
 ]

@@ -40,15 +40,16 @@ def _rows(script, *args):
     return proc.stdout.splitlines()
 
 
-def test_scan_seeds_reports_the_s1_goldens():
+def test_quality_reports_the_s1_goldens():
     # seed 7 is the s1 fleet: no jumps or merges
-    rows = _rows("scan_seeds.py", "--seeds", "1", "--first", "7")
-    assert f"7,{S1_N},{S1_RATE:.6f},0,0,{S1_CLUSTERS}" in rows
+    rows = _rows("quality.py")
+    assert f"s1,7,1000,{S1_N},20,{S1_RATE:.6f},0,0,{S1_CLUSTERS}" in rows
 
 
-def test_sweep_window_reports_the_gaps_goldens():
-    rows = _rows("sweep_window.py", "--windows", "300")
-    assert any(row.startswith(f"300,{GAPS_RATE_W300:.6f},{GAPS_JUMPS_W300},") for row in rows)
+def test_quality_reports_the_gaps_goldens():
+    rows = _rows("quality.py", "--fleet", "s1-gaps", "--windows", "300")
+    assert any(row.startswith(f"s1-gaps,7,300,5009,20,{GAPS_RATE_W300:.6f},{GAPS_JUMPS_W300},")
+               for row in rows)
 
 
 def test_s1_benchmark_script_reports_npc_golden():
