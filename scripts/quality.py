@@ -1,11 +1,11 @@
 """Reconstruction quality of a benchmark fleet over seeds and candidate windows.
 
-Prints one CSV row per cbtr run, a seed and a window, then a min/median/max
-summary over all rows.  Many seeds check that quality is a property of the
-pipeline, not of one lucky fleet; on s1-gaps, windows shorter than the
-reporting outages show how they fragment tracks.
+Prints one CSV row per cbtr run, one for each seed and window, then a
+min/median/max summary over all rows.  Many seeds check that quality is a
+property of the pipeline, not of one lucky fleet; on s1-gaps, windows
+shorter than the reporting outages show how they fragment tracks.
 
-Usage: python3 scripts/quality.py [--fleet s1-gaps] [--seeds N] [--first S] [--windows W,...]
+Usage: python3 scripts/quality.py [--fleet s1|s1-gaps] [--seeds N] [--first S] [--windows W,...]
 """
 
 import argparse
